@@ -35,7 +35,7 @@ use lilac_solver::{
 };
 use lilac_util::diag::{CheckError, Diagnostic, ErrorReporter, LilacError, Result};
 use lilac_util::intern::Symbol;
-use lilac_util::par::{try_par_map, WorkerPanic};
+use lilac_util::par::{par_map, WorkerPanic};
 use lilac_util::span::Span;
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
@@ -93,7 +93,8 @@ impl CheckReport {
         self.components.iter().map(|c| c.obligations).sum()
     }
 
-    /// Total wall-clock checking time.
+    /// Sum of the per-component checking times. Not the wall clock of a
+    /// whole-program check, which also builds the component library.
     pub fn total_elapsed(&self) -> Duration {
         self.components.iter().map(|c| c.elapsed).sum()
     }
@@ -129,9 +130,10 @@ impl CheckReport {
 /// Knobs controlling how a whole program is checked.
 #[derive(Clone, Debug)]
 pub struct CheckOptions {
-    /// Discharge components on parallel worker threads (components are
-    /// independent after signature collection, and reports are merged in
-    /// component order either way).
+    /// Let a program with at least [`FAN_OUT_MIN_COMPONENTS`] components
+    /// check them on worker threads. Smaller programs, and every program
+    /// when this is off, are checked on the caller's thread. Reports are
+    /// merged in component order either way.
     pub parallel: bool,
     /// Solver configuration used for every component.
     pub solver_config: SolverConfig,
@@ -166,8 +168,8 @@ impl CheckOptions {
     }
 }
 
-/// Type-checks a whole program with default options (parallel components,
-/// sliced + cached solver).
+/// Type-checks a whole program with default options (sliced + cached
+/// solver, indexed scopes, large programs' components in parallel).
 ///
 /// # Errors
 ///
@@ -178,6 +180,13 @@ pub fn check_program(program: &Program) -> Result<CheckReport> {
     check_program_with(program, &CheckOptions::default())
 }
 
+/// Fewest components a program needs before [`check_program_with`] fans
+/// them out over worker threads. Fuzz-sized programs (one to five small
+/// components) lose more to thread spawns and joins than the fan-out saves,
+/// so they are checked on the caller's thread; the bundled designs (seven to
+/// fourteen components) are checked in parallel.
+pub const FAN_OUT_MIN_COMPONENTS: usize = 6;
+
 /// Type-checks a whole program under explicit [`CheckOptions`].
 ///
 /// # Errors
@@ -187,37 +196,39 @@ pub fn check_program_with(program: &Program, options: &CheckOptions) -> Result<C
     let lib = CompLibrary::build(program)?;
     let modules: Vec<&Module> =
         lib.iter().filter(|m| matches!(m.kind, ModuleKind::Comp { .. })).collect();
-    // Components run under per-item panic isolation in both modes: a checker
-    // panic (a bug, an injected fault, an exhausted budget) becomes an error
-    // diagnostic on its own component instead of tearing down the process and
-    // losing every other component's result.
-    let results: Vec<std::result::Result<ComponentReport, WorkerPanic>> =
-        if options.parallel && modules.len() > 1 {
-            try_par_map(&modules, |module| check_component_with(&lib, module, options))
-        } else {
-            modules
-                .iter()
-                .map(|module| {
-                    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        check_component_with(&lib, module, options)
-                    }))
-                    .map_err(|p| WorkerPanic::from_payload(&*p))
-                })
-                .collect()
-        };
-    let components: Vec<ComponentReport> = results
-        .into_iter()
-        .zip(modules.iter())
-        .map(|(result, module)| result.unwrap_or_else(|p| panic_report(module, &p)))
+    let check = |module: &&Module| check_isolated(&lib, module, options);
+    verdict(if options.parallel && modules.len() >= FAN_OUT_MIN_COMPONENTS {
+        par_map(&modules, check)
+    } else {
+        modules.iter().map(check).collect()
+    })
+}
+
+/// Checks one component under panic isolation: a checker panic (a bug, an
+/// injected fault, an exhausted budget) becomes an error diagnostic on its
+/// own component instead of tearing down the process and losing every
+/// other component's result.
+pub(crate) fn check_isolated(
+    lib: &CompLibrary<'_>,
+    module: &Module,
+    options: &CheckOptions,
+) -> ComponentReport {
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        check_component_with(lib, module, options)
+    }))
+    .unwrap_or_else(|p| panic_report(module, &WorkerPanic::from_payload(&*p)))
+}
+
+/// Folds per-component reports into a whole-program verdict: the report
+/// when no component has an error diagnostic, otherwise every error
+/// diagnostic in component order.
+pub(crate) fn verdict(components: Vec<ComponentReport>) -> Result<CheckReport> {
+    let errors: Vec<Diagnostic> = components
+        .iter()
+        .flat_map(|c| &c.diagnostics)
+        .filter(|d| d.kind == lilac_util::diag::DiagnosticKind::Error)
+        .cloned()
         .collect();
-    let mut errors = Vec::new();
-    for comp_report in &components {
-        for d in &comp_report.diagnostics {
-            if d.kind == lilac_util::diag::DiagnosticKind::Error {
-                errors.push(d.clone());
-            }
-        }
-    }
     if errors.is_empty() {
         Ok(CheckReport { components })
     } else {
@@ -228,7 +239,7 @@ pub fn check_program_with(program: &Program, options: &CheckOptions) -> Result<C
 /// The report for a component whose checker panicked: one error diagnostic
 /// anchored at the component's name, no obligations counted (the count up to
 /// the panic is unrecoverable and a partial count would be misleading).
-pub(crate) fn panic_report(module: &Module, panic: &WorkerPanic) -> ComponentReport {
+fn panic_report(module: &Module, panic: &WorkerPanic) -> ComponentReport {
     ComponentReport {
         name: module.name(),
         obligations: 0,
@@ -1831,11 +1842,20 @@ mod tests {
     /// tear down the process — and components are isolated from each other.
     #[test]
     fn exhausted_budget_becomes_a_diagnostic_not_a_process_panic() {
-        let full = format!("{STDLIB}\n");
-        let (prog, _map) = parse_program("test.lilac", &full).unwrap();
-        for parallel in [true, false] {
+        // The stdlib alone is checked on the caller's thread; with `extra`
+        // one-register components the program is big enough to fan out.
+        for extra in [0, FAN_OUT_MIN_COMPONENTS] {
+            let passes: String = (0..extra)
+                .map(|k| {
+                    format!(
+                        "comp Pass{k}[#W]<G:1>(i: [G, G+1] #W) -> (o: [G+1, G+2] #W) {{\n\
+                         r := new Reg[#W]<G>(i);\no = r.out;\n}}\n"
+                    )
+                })
+                .collect();
+            let full = format!("{STDLIB}\n{passes}");
+            let (prog, _map) = parse_program("test.lilac", &full).unwrap();
             let options = CheckOptions {
-                parallel,
                 solver_config: SolverConfig {
                     budget: Some(lilac_solver::QueryBudget::unlimited().with_max_queries(1)),
                     ..SolverConfig::default()
@@ -1847,7 +1867,7 @@ mod tests {
             let rendered = err.to_string();
             assert!(
                 rendered.contains("aborted") && rendered.contains("budget exhausted"),
-                "parallel={parallel}: diagnostic should name the panic: {rendered}"
+                "extra={extra}: diagnostic should name the panic: {rendered}"
             );
         }
     }

@@ -11,7 +11,10 @@
 //!   events, instances, loop variables) hash as first-occurrence indices
 //!   over one walk spanning the module and its signature closure, the same
 //!   scheme [`lilac_solver::alpha`] uses for query-cache buckets, so a
-//!   consistent renaming leaves the hash unchanged;
+//!   consistent renaming leaves the hash unchanged. Indices are kept per
+//!   namespace (the table the checker resolves the name in), so a
+//!   parameter spelled like a component (`let #Max` beside `Max[..]::#O`)
+//!   is not tied to it;
 //! * **location-invariant** — spans are skipped, so reformatting, comments,
 //!   or reordering *other* modules leaves the hash unchanged;
 //! * **cross-process stable** — two FNV-1a streams over the same canonical
@@ -32,17 +35,14 @@
 //! across parses, and degraded verdicts describe a fault, not the program —
 //! so a cache hit can never replay a stale rejection or a faulted answer.
 
-use crate::check::{
-    check_component_with, panic_report, CheckOptions, CheckReport, ComponentReport,
-};
+use crate::check::{check_isolated, verdict, CheckOptions, CheckReport, ComponentReport};
 use crate::comp::CompLibrary;
 use lilac_ast::{
     Access, Cmd, Constraint, Ident, Interval, Module, ModuleKind, ParamExpr, PortDecl, PortType,
     Program, Signature, TimeExpr,
 };
-use lilac_util::diag::{LilacError, Result};
+use lilac_util::diag::Result;
 use lilac_util::intern::Symbol;
-use lilac_util::par::{try_par_map, WorkerPanic};
 use std::collections::{HashMap, HashSet};
 use std::time::Duration;
 
@@ -112,13 +112,30 @@ impl Stream {
     }
 }
 
+/// The name tables the checker resolves identifiers in. Two names in
+/// different namespaces never refer to each other, so renaming one must not
+/// disturb the other's index.
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+enum Ns {
+    /// Components (library lookups).
+    Comp,
+    /// Parameters: signature and output parameters, `let` bindings, loop
+    /// and bundle index variables.
+    Param,
+    /// Events.
+    Event,
+    /// Ports, bundles, instances and invocations: one table, because a
+    /// bare read `o = a;` resolves to a port, a bundle or an invocation.
+    Signal,
+}
+
 /// Walker state: the byte streams, the first-occurrence symbol indexer
 /// (shared across the whole footprint, as in [`lilac_solver::alpha`]), and
 /// the component-reference queue driving the signature-closure BFS.
 struct Hasher<'p> {
     lib: &'p CompLibrary<'p>,
     s: Stream,
-    idx: HashMap<Symbol, u32>,
+    idx: HashMap<(Ns, Symbol), u32>,
     deps: Vec<Symbol>,
     queued: HashSet<Symbol>,
 }
@@ -134,21 +151,18 @@ impl<'p> Hasher<'p> {
         }
     }
 
-    /// First-occurrence index of a symbol — the alpha-invariance device.
-    fn sym(&mut self, sym: Symbol) {
+    /// First-occurrence index of a name within its namespace — the
+    /// alpha-invariance device.
+    fn ident(&mut self, ns: Ns, id: &Ident) {
         let next = self.idx.len() as u32;
-        let i = *self.idx.entry(sym).or_insert(next);
+        let i = *self.idx.entry((ns, id.name)).or_insert(next);
         self.s.u32(i);
-    }
-
-    fn ident(&mut self, id: &Ident) {
-        self.sym(id.name);
     }
 
     /// An identifier that names a component: indexed like any symbol, and
     /// queued so its signature joins the footprint.
     fn comp_ref(&mut self, id: &Ident) {
-        self.ident(id);
+        self.ident(Ns::Comp, id);
         if self.queued.insert(id.name) {
             self.deps.push(id.name);
         }
@@ -162,7 +176,7 @@ impl<'p> Hasher<'p> {
             }
             ParamExpr::Param(id) => {
                 self.s.byte(1);
-                self.ident(id);
+                self.ident(Ns::Param, id);
             }
             ParamExpr::Bin(op, a, b) => {
                 self.s.byte(2);
@@ -182,12 +196,12 @@ impl<'p> Hasher<'p> {
                 for a in args {
                     self.param_expr(a);
                 }
-                self.ident(param);
+                self.ident(Ns::Param, param);
             }
             ParamExpr::InstAccess { instance, param } => {
                 self.s.byte(5);
-                self.ident(instance);
-                self.ident(param);
+                self.ident(Ns::Signal, instance);
+                self.ident(Ns::Param, param);
             }
             ParamExpr::Cond(c, a, b) => {
                 self.s.byte(6);
@@ -232,7 +246,7 @@ impl<'p> Hasher<'p> {
         match &t.event {
             Some(ev) => {
                 self.s.byte(1);
-                self.ident(ev);
+                self.ident(Ns::Event, ev);
             }
             None => self.s.byte(0),
         }
@@ -245,7 +259,7 @@ impl<'p> Hasher<'p> {
     }
 
     fn port(&mut self, p: &PortDecl) {
-        self.ident(&p.name);
+        self.ident(Ns::Signal, &p.name);
         self.s.u32(p.dims.len() as u32);
         for d in &p.dims {
             self.param_expr(d);
@@ -258,16 +272,16 @@ impl<'p> Hasher<'p> {
             }
             PortType::Interface { event } => {
                 self.s.byte(1);
-                self.ident(event);
+                self.ident(Ns::Event, event);
             }
         }
     }
 
     fn signature(&mut self, sig: &Signature) {
-        self.ident(&sig.name);
+        self.ident(Ns::Comp, &sig.name);
         self.s.u32(sig.params.len() as u32);
         for p in &sig.params {
-            self.ident(&p.name);
+            self.ident(Ns::Param, &p.name);
             match &p.default {
                 Some(d) => {
                     self.s.byte(1);
@@ -278,7 +292,7 @@ impl<'p> Hasher<'p> {
         }
         self.s.u32(sig.events.len() as u32);
         for e in &sig.events {
-            self.ident(&e.name);
+            self.ident(Ns::Event, &e.name);
             self.param_expr(&e.delay);
         }
         self.s.u32(sig.inputs.len() as u32);
@@ -291,7 +305,7 @@ impl<'p> Hasher<'p> {
         }
         self.s.u32(sig.out_params.len() as u32);
         for op in &sig.out_params {
-            self.ident(&op.name);
+            self.ident(Ns::Param, &op.name);
             self.s.u32(op.constraints.len() as u32);
             for c in &op.constraints {
                 self.constraint(c);
@@ -307,12 +321,12 @@ impl<'p> Hasher<'p> {
         match a {
             Access::Var(id) => {
                 self.s.byte(0);
-                self.ident(id);
+                self.ident(Ns::Signal, id);
             }
             Access::Port { inv, port } => {
                 self.s.byte(1);
-                self.ident(inv);
-                self.ident(port);
+                self.ident(Ns::Signal, inv);
+                self.ident(Ns::Signal, port);
             }
             Access::Index { base, index } => {
                 self.s.byte(2);
@@ -337,7 +351,7 @@ impl<'p> Hasher<'p> {
         match cmd {
             Cmd::Instantiate { name, comp, params, span: _ } => {
                 self.s.byte(0);
-                self.ident(name);
+                self.ident(Ns::Signal, name);
                 self.comp_ref(comp);
                 self.s.u32(params.len() as u32);
                 for p in params {
@@ -346,8 +360,8 @@ impl<'p> Hasher<'p> {
             }
             Cmd::Invoke { name, instance, schedule, args, span: _ } => {
                 self.s.byte(1);
-                self.ident(name);
-                self.ident(instance);
+                self.ident(Ns::Signal, name);
+                self.ident(Ns::Signal, instance);
                 self.s.u32(schedule.len() as u32);
                 for t in schedule {
                     self.time(t);
@@ -359,7 +373,7 @@ impl<'p> Hasher<'p> {
             }
             Cmd::InstInvoke { name, comp, params, schedule, args, span: _ } => {
                 self.s.byte(2);
-                self.ident(name);
+                self.ident(Ns::Signal, name);
                 self.comp_ref(comp);
                 self.s.u32(params.len() as u32);
                 for p in params {
@@ -381,20 +395,20 @@ impl<'p> Hasher<'p> {
             }
             Cmd::Let { name, value, span: _ } => {
                 self.s.byte(4);
-                self.ident(name);
+                self.ident(Ns::Param, name);
                 self.param_expr(value);
             }
             Cmd::OutParamBind { name, value, span: _ } => {
                 self.s.byte(5);
-                self.ident(name);
+                self.ident(Ns::Param, name);
                 self.param_expr(value);
             }
             Cmd::Bundle { name, idx_vars, dims, liveness, width, span: _ } => {
                 self.s.byte(6);
-                self.ident(name);
+                self.ident(Ns::Signal, name);
                 self.s.u32(idx_vars.len() as u32);
                 for v in idx_vars {
-                    self.ident(v);
+                    self.ident(Ns::Param, v);
                 }
                 self.s.u32(dims.len() as u32);
                 for d in dims {
@@ -425,7 +439,7 @@ impl<'p> Hasher<'p> {
             }
             Cmd::For { var, start, end, body, span: _ } => {
                 self.s.byte(10);
-                self.ident(var);
+                self.ident(Ns::Param, var);
                 self.param_expr(start);
                 self.param_expr(end);
                 self.s.u32(body.len() as u32);
@@ -584,8 +598,8 @@ pub struct IncrementalReport {
 /// # Errors
 ///
 /// Mirrors [`crate::check_program_with`]: library errors and component
-/// error diagnostics are returned as a [`LilacError`] (after `prior` has
-/// absorbed the clean components).
+/// error diagnostics are returned as a [`lilac_util::diag::LilacError`]
+/// (after `prior` has absorbed the clean components).
 pub fn check_program_incremental(
     program: &Program,
     options: &CheckOptions,
@@ -595,53 +609,26 @@ pub fn check_program_incremental(
     let modules: Vec<&Module> =
         lib.iter().filter(|m| matches!(m.kind, ModuleKind::Comp { .. })).collect();
     let hashes: Vec<ComponentHash> = modules.iter().map(|m| component_hash(&lib, m)).collect();
-    let mut slots: Vec<Option<ComponentReport>> =
-        modules.iter().zip(hashes.iter()).map(|(m, h)| prior.lookup(*h, m.name())).collect();
-    let hits = slots.iter().filter(|s| s.is_some()).count();
-    let missed: Vec<(usize, &Module)> = slots
-        .iter()
-        .enumerate()
-        .filter(|(_, s)| s.is_none())
-        .map(|(i, _)| (i, modules[i]))
+    // Every lookup happens before any fresh verdict is admitted, so a
+    // request's hit count never depends on its own misses.
+    let slots: Vec<Option<ComponentReport>> =
+        modules.iter().zip(&hashes).map(|(m, h)| prior.lookup(*h, m.name())).collect();
+    let hits = slots.iter().flatten().count();
+    let misses = modules.len() - hits;
+    // Misses get `check_program_with`'s panic isolation, on this thread:
+    // they are the few edited components of a request.
+    let components = slots
+        .into_iter()
+        .zip(modules.iter().zip(&hashes))
+        .map(|(slot, (module, hash))| {
+            slot.unwrap_or_else(|| {
+                let fresh = check_isolated(&lib, module, options);
+                prior.insert(*hash, &fresh);
+                fresh
+            })
+        })
         .collect();
-    let misses = missed.len();
-    // Misses run exactly like `check_program_with`: parallel when asked,
-    // per-item panic isolation either way.
-    let miss_modules: Vec<&Module> = missed.iter().map(|&(_, m)| m).collect();
-    let results: Vec<std::result::Result<ComponentReport, WorkerPanic>> =
-        if options.parallel && miss_modules.len() > 1 {
-            try_par_map(&miss_modules, |module| check_component_with(&lib, module, options))
-        } else {
-            miss_modules
-                .iter()
-                .map(|module| {
-                    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        check_component_with(&lib, module, options)
-                    }))
-                    .map_err(|p| WorkerPanic::from_payload(&*p))
-                })
-                .collect()
-        };
-    for ((slot_idx, module), result) in missed.iter().zip(results) {
-        let fresh = result.unwrap_or_else(|p| panic_report(module, &p));
-        prior.insert(hashes[*slot_idx], &fresh);
-        slots[*slot_idx] = Some(fresh);
-    }
-    let components: Vec<ComponentReport> =
-        slots.into_iter().map(|s| s.expect("every slot filled")).collect();
-    let mut errors = Vec::new();
-    for comp_report in &components {
-        for d in &comp_report.diagnostics {
-            if d.kind == lilac_util::diag::DiagnosticKind::Error {
-                errors.push(d.clone());
-            }
-        }
-    }
-    if errors.is_empty() {
-        Ok(IncrementalReport { report: CheckReport { components }, hits, misses })
-    } else {
-        Err(LilacError::from_diagnostics(errors))
-    }
+    verdict(components).map(|report| IncrementalReport { report, hits, misses })
 }
 
 #[cfg(test)]
@@ -842,5 +829,52 @@ mod tests {
         assert!(prior.is_empty());
         assert!(prior.insert(hs[0].1, &report.components[0]));
         assert_eq!(prior.len(), 1);
+    }
+
+    /// A parameter spelled like a component (`let #Max` next to component
+    /// `Max`, as in the bundled FPU) must not tie the two together: renaming
+    /// only the component is a consistent alpha-renaming.
+    #[test]
+    fn a_parameter_sharing_a_component_name_survives_renaming_the_component() {
+        let src = |comp: &str| {
+            format!(
+                r#"
+                comp {comp}[#A, #B]<G:1>() -> () with {{ some #O; }} {{ #O := #A + #B; }}
+                comp Top[#W]<G:1>(i: [G, G+1] #W) -> (o: [G, G+1] #W) {{
+                    let #Max = {comp}[#W, 1]::#O;
+                    assert #Max > #W;
+                    o = i;
+                }}
+            "#
+            )
+        };
+        let base = hashes(&src("Max"));
+        let renamed = hashes(&src("MaxRn"));
+        assert_eq!(base[1], ("Top".to_string(), renamed[1].1));
+    }
+
+    /// A bare read resolves to a port, a bundle or an invocation, so those
+    /// names share one namespace: reading invocation `a` (accepted) and
+    /// reading an unknown `a` next to invocation `b` (rejected) must not
+    /// hash alike.
+    #[test]
+    fn a_bare_read_of_an_invocation_is_tied_to_its_name() {
+        let src = |inv: &str| {
+            format!(
+                r#"
+                extern comp Reg[#W]<G:1>(in: [G, G+1] #W) -> (out: [G+1, G+2] #W);
+                comp Top[#W]<G:1>(i: [G, G+1] #W) -> (o: [G+1, G+2] #W) {{
+                    r := new Reg[#W];
+                    {inv} := r<G>(i);
+                    o = a;
+                }}
+            "#
+            )
+        };
+        let reads_invocation = parse(&src("a"));
+        let reads_unknown = parse(&src("b"));
+        assert!(check_program_with(&reads_invocation, &CheckOptions::default()).is_ok());
+        assert!(check_program_with(&reads_unknown, &CheckOptions::default()).is_err());
+        assert_ne!(hashes(&src("a"))[0].1, hashes(&src("b"))[0].1);
     }
 }

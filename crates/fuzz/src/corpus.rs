@@ -224,16 +224,14 @@ pub fn run_text(text: &str) -> Result<(), String> {
     // Checker A/B.
     let fast = check_program_with(&program, &CheckOptions::default());
     let naive = check_program_with(&program, &CheckOptions::naive());
-    let serial =
-        check_program_with(&program, &CheckOptions { parallel: false, ..CheckOptions::default() });
-    match (&fast, &naive, &serial) {
-        (Ok(a), Ok(b), Ok(c)) => {
-            if !a.equivalent(b) || !a.equivalent(c) {
+    match (&fast, &naive) {
+        (Ok(a), Ok(b)) => {
+            if !a.equivalent(b) {
                 return Err("checker pipelines disagree on reports".to_string());
             }
         }
-        (Err(a), Err(b), Err(c)) => {
-            if !crate::oracle::errors_agree(a, b) || !crate::oracle::errors_agree(a, c) {
+        (Err(a), Err(b)) => {
+            if !crate::oracle::errors_agree(a, b) {
                 return Err("checker pipelines disagree on rejection diagnostics".to_string());
             }
         }
@@ -250,7 +248,7 @@ pub fn run_text(text: &str) -> Result<(), String> {
     // The incremental re-checking oracle runs on every replay — rejections
     // included, since a stale accept of a pinned-reject case would be
     // exactly the bug the content hash exists to prevent.
-    crate::oracle::incremental_stream(&program, d.seed)
+    crate::oracle::incremental_stream(&program, &fast, d.seed)
         .map_err(|f| format!("{}: {}", f.oracle, f.detail))?;
 
     if !d.expect_check_ok {

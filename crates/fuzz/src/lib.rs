@@ -7,8 +7,8 @@
 //! sub-components, and FloPoCo generator invocations — and pushes each one
 //! through ten differential oracles (see [`oracle`]):
 //!
-//! 1. every checker configuration (optimized / serial / shared-cache /
-//!    naive) reaches the same verdict;
+//! 1. every checker configuration (optimized / shared-cache / naive)
+//!    reaches the same verdict;
 //! 2. programs that type-check elaborate and simulate to exactly the values
 //!    the scenario interpreter predicts, cycle by cycle (the paper's §4
 //!    soundness claim, observed dynamically);

@@ -326,3 +326,24 @@ fn rewrite_access(access: &mut Access, f: &mut impl FnMut(&mut Ident)) {
         Access::Const { width, .. } => rewrite_param_expr(width, f),
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use lilac_core::{check_program_incremental, CheckOptions, PriorReports};
+    use lilac_designs::Design;
+
+    /// FPU's body binds `let #Max` next to a reference to the stdlib
+    /// component `Max`; renaming components must not disturb the content
+    /// hash through that shared spelling.
+    #[test]
+    fn renaming_the_fpu_design_is_all_hits() {
+        let base = Design::Fpu.program().expect("FPU parses");
+        let renamed = apply(&base, Mutation::Rename, &mut Rng::new(0));
+        let options = CheckOptions::default();
+        let mut prior = PriorReports::new();
+        check_program_incremental(&base, &options, &mut prior).expect("FPU checks");
+        let inc = check_program_incremental(&renamed, &options, &mut prior).expect("FPU checks");
+        assert_eq!(inc.misses, 0, "{} of {} components missed", inc.misses, inc.hits + inc.misses);
+    }
+}

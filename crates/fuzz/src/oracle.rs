@@ -3,10 +3,10 @@
 //! Every generated case is pushed through eleven independent cross-checks:
 //!
 //! 1. **Checker A/B** — the optimized obligation-discharge pipeline
-//!    (slicing + caching + indexed scopes), the serial variant, a variant
-//!    warmed by a persistent cross-case [`SharedCache`], and the naive
-//!    baseline ([`CheckOptions::naive`]) must reach the same verdict on the
-//!    same program — identical reports when it checks, matching
+//!    (slicing + caching + indexed scopes), a variant warmed by a
+//!    persistent cross-case [`SharedCache`], and the naive baseline
+//!    ([`CheckOptions::naive`]) must reach the same verdict on the same
+//!    program — identical reports when it checks, matching
 //!    diagnostics when it does not. Sabotaged programs must be rejected;
 //!    clean programs must be accepted (the soundness direction of §4).
 //! 2. **Elaborate + simulate** — a program that type-checks must elaborate
@@ -273,20 +273,17 @@ fn describe_check(r: &Result<CheckReport, LilacError>) -> String {
     }
 }
 
-/// Oracle 1: the four checker configurations must agree with each other and
-/// with the scenario's expectation. Returns the optimized report on success.
+/// Oracle 1: the three checker configurations must agree with each other
+/// and with the scenario's expectation. Returns the optimized report on
+/// success.
 fn checker_ab(
     synth: &Synthesized,
     session: &Session,
 ) -> Result<Result<CheckReport, LilacError>, Failure> {
     let fast = check_program_with(&synth.program, &CheckOptions::default());
-    let serial = check_program_with(
-        &synth.program,
-        &CheckOptions { parallel: false, ..CheckOptions::default() },
-    );
     let naive = check_program_with(&synth.program, &CheckOptions::naive());
     let mut configs: Vec<(&'static str, &Result<CheckReport, LilacError>)> =
-        vec![("serial", &serial), ("naive", &naive)];
+        vec![("naive", &naive)];
     let warm;
     if let Some(shared) = &session.shared {
         let mut opts = CheckOptions::default();
@@ -882,12 +879,17 @@ fn simulate(scenario: &Scenario, synth: &Synthesized) -> Result<DriveReport, Fai
 /// spans and file identities. Renames and reorders over a fully clean
 /// predecessor must be complete cache hits. The mutation stream draws from
 /// its own [`Rng`], never the scenario generator's, so the run fingerprint
-/// is untouched.
-pub(crate) fn incremental_stream(program: &lilac_ast::Program, seed: u64) -> Result<(), Failure> {
+/// is untouched. `scratch` is the caller's default-options check of
+/// `program` itself, reused as the first request's from-scratch verdict.
+pub(crate) fn incremental_stream(
+    program: &lilac_ast::Program,
+    scratch: &Result<CheckReport, LilacError>,
+    seed: u64,
+) -> Result<(), Failure> {
     let options = CheckOptions::default();
     let mut prior = PriorReports::new();
     let mut rng = Rng::new(seed ^ 0x10c4_e56e_a11d_ab1e);
-    let mut prev_all_clean = compare_incremental(program, &options, &mut prior, None)?;
+    let mut prev_all_clean = compare_incremental(program, scratch, &options, &mut prior, None)?;
     let mut current = program.clone();
     for mutation in Mutation::SESSION {
         let mutant = mutate::apply(&current, mutation, &mut rng);
@@ -899,27 +901,29 @@ pub(crate) fn incremental_stream(program: &lilac_ast::Program, seed: u64) -> Res
             )
         })?;
         let expect_all_hits = (mutation.preserves_hashes() && prev_all_clean).then_some(mutation);
-        prev_all_clean = compare_incremental(&reparsed, &options, &mut prior, expect_all_hits)?;
+        let scratch = check_program_with(&reparsed, &options);
+        prev_all_clean =
+            compare_incremental(&reparsed, &scratch, &options, &mut prior, expect_all_hits)?;
         current = reparsed;
     }
     Ok(())
 }
 
 /// One request of the editing session: the incremental check (threading
-/// `prior`) and a from-scratch check must reach the same verdict; when
+/// `prior`) must reach the from-scratch verdict `scratch`; when
 /// `expect_all_hits` names a hash-preserving mutation over a fully clean
 /// predecessor, not a single component may miss the cache. Returns whether
 /// this request's report is fully clean (every verdict cacheable), which
 /// gates the *next* request's all-hits expectation.
 fn compare_incremental(
     program: &lilac_ast::Program,
+    scratch: &Result<CheckReport, LilacError>,
     options: &CheckOptions,
     prior: &mut PriorReports,
     expect_all_hits: Option<Mutation>,
 ) -> Result<bool, Failure> {
-    let scratch = check_program_with(program, options);
     let incremental = check_program_incremental(program, options, prior);
-    match (&incremental, &scratch) {
+    match (&incremental, scratch) {
         (Ok(inc), Ok(from_scratch)) => {
             if !inc.report.equivalent(from_scratch) {
                 return Err(Failure::new(
@@ -927,7 +931,7 @@ fn compare_incremental(
                     format!(
                         "incremental and from-scratch reports differ: {} vs {}",
                         describe_check(&Ok(inc.report.clone())),
-                        describe_check(&scratch)
+                        describe_check(scratch)
                     ),
                 ));
             }
@@ -960,7 +964,7 @@ fn compare_incremental(
                 "incremental",
                 format!(
                     "incremental and from-scratch verdicts differ: {inc_desc} vs {}",
-                    describe_check(&scratch)
+                    describe_check(scratch)
                 ),
             ))
         }
@@ -973,7 +977,7 @@ pub fn run_case(scenario: &Scenario, session: &Session) -> Result<CaseStats, Fai
     let synth = crate::synth::synthesize(scenario);
     round_trip(&synth)?;
     let check = checker_ab(&synth, session)?;
-    incremental_stream(&synth.program, scenario.seed)?;
+    incremental_stream(&synth.program, &check, scenario.seed)?;
     let mut stats = CaseStats {
         modules: synth.program.modules.len(),
         checked_ok: check.is_ok(),

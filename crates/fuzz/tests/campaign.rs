@@ -42,6 +42,13 @@ fn campaign_matches_sequential_for_every_shard_count() {
     let fuzz = FuzzConfig::default(); // 200 cases, seed 0
     let sequential = run_fuzz(&fuzz);
     assert!(!sequential.signatures.is_empty(), "a 200-case run observes signatures");
+    // The shard comparisons below rest on the sequential count itself being
+    // reproducible: checking writes the shared cache in a fixed order.
+    let again = run_fuzz(&fuzz);
+    assert_eq!(
+        again.shared_cache_entries, sequential.shared_cache_entries,
+        "two identical sequential runs must merge the same shared-cache entries"
+    );
 
     let mut distilled_sigs: Option<BTreeSet<CoverageSignature>> = None;
     for shards in [1usize, 2, 4, 7] {

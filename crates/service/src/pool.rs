@@ -1,10 +1,11 @@
 //! A small persistent work-stealing worker pool.
 //!
-//! The per-program checker ([`lilac_core::check_program_with`]) fans
-//! components out over *scoped* threads that are spawned and joined inside
-//! every call — the right shape for a one-shot CLI, but a long-lived service
-//! checking a stream of programs would pay thread startup per request and
-//! could never overlap work across requests. This pool keeps its workers
+//! The per-program checker ([`lilac_core::check_program_with`]) checks a
+//! small program's components on the caller's thread and fans a large
+//! one's out over scoped threads spawned and joined inside the call — the
+//! right shape for a one-shot CLI, but a long-lived service checking a
+//! stream of programs wants to overlap component work within and across
+//! requests without paying thread startup per request. This pool keeps its workers
 //! alive for the service's lifetime: each worker owns a deque, submissions
 //! are spread round-robin, and an idle worker steals from the *back* of a
 //! sibling's deque (the classic Chase–Lev discipline, here with plain

@@ -53,15 +53,9 @@ impl std::fmt::Display for WorkerPanic {
 }
 
 /// Number of worker threads to use for `items` work items: the machine's
-/// available parallelism, capped by the number of items, and overridable with
-/// the `LILAC_THREADS` environment variable (a value of `1` forces serial
-/// execution).
+/// available parallelism, capped by the number of items.
 pub fn worker_count(items: usize) -> usize {
-    let hw = std::env::var("LILAC_THREADS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, std::num::NonZero::get));
+    let hw = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
     hw.min(items).max(1)
 }
 
