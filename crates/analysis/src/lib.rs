@@ -12,7 +12,7 @@
 //! Sequential nodes start from the zero power-up state (registers and delay
 //! lines reset to 0, exactly as `lilac-sim` and the Verilog backend define)
 //! and accumulate their data-input facts across a fixpoint sweep; intervals
-//! are widened to full range after [`WIDEN_ROUND`] rounds so feedback loops
+//! are widened to full range after `WIDEN_ROUND` rounds so feedback loops
 //! (counters, FSM state) terminate, with a hard cap forcing still-moving
 //! facts to ⊤ long before the sweep count could matter.
 //!

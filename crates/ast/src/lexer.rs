@@ -292,9 +292,10 @@ pub fn lex(file: FileId, src: &str) -> Result<Vec<Token>> {
                 i += 1;
             }
             if i == id_start {
+                let next = src[i..].chars().next().map_or(0, char::len_utf8);
                 return Err(LilacError::new(Diagnostic::error(
                     format!("expected identifier after `{c}`"),
-                    span(start, i + 1),
+                    span(start, i + next),
                 )));
             }
             let text = &src[id_start..i];
@@ -352,19 +353,19 @@ pub fn lex(file: FileId, src: &str) -> Result<Vec<Token>> {
             continue;
         }
 
-        // Operators and punctuation.
-        let two = if i + 1 < len { &src[i..i + 2] } else { "" };
-        let (kind, width) = match two {
-            ":=" => (TokenKind::ColonEq, 2),
-            "::" => (TokenKind::ColonColon, 2),
-            "->" => (TokenKind::Arrow, 2),
-            ".." => (TokenKind::DotDot, 2),
-            "==" => (TokenKind::EqEq, 2),
-            "!=" => (TokenKind::Ne, 2),
-            "<=" => (TokenKind::Le, 2),
-            ">=" => (TokenKind::Ge, 2),
-            "&&" => (TokenKind::AmpAmp, 2),
-            "||" => (TokenKind::PipePipe, 2),
+        // Operators and punctuation. The two-character lookahead compares
+        // bytes, so it never splits a multi-byte character.
+        let (kind, width) = match bytes.get(i..i + 2).unwrap_or_default() {
+            b":=" => (TokenKind::ColonEq, 2),
+            b"::" => (TokenKind::ColonColon, 2),
+            b"->" => (TokenKind::Arrow, 2),
+            b".." => (TokenKind::DotDot, 2),
+            b"==" => (TokenKind::EqEq, 2),
+            b"!=" => (TokenKind::Ne, 2),
+            b"<=" => (TokenKind::Le, 2),
+            b">=" => (TokenKind::Ge, 2),
+            b"&&" => (TokenKind::AmpAmp, 2),
+            b"||" => (TokenKind::PipePipe, 2),
             _ => match c {
                 '(' => (TokenKind::LParen, 1),
                 ')' => (TokenKind::RParen, 1),
@@ -388,10 +389,14 @@ pub fn lex(file: FileId, src: &str) -> Result<Vec<Token>> {
                 '!' => (TokenKind::Bang, 1),
                 '&' => (TokenKind::AmpAmp, 1),
                 '|' => (TokenKind::PipePipe, 1),
-                other => {
+                _ => {
+                    // Every token starts on a char boundary; decode the whole
+                    // character so the diagnostic names it and its span ends
+                    // on a boundary too.
+                    let other = src[start..].chars().next().unwrap_or(c);
                     return Err(LilacError::new(Diagnostic::error(
                         format!("unexpected character `{other}`"),
-                        span(start, start + 1),
+                        span(start, start + other.len_utf8()),
                     )));
                 }
             },

@@ -132,3 +132,54 @@ fn structured_fuzz_never_panics() {
         let _ = parse_program("fuzz2.lilac", &src);
     }
 }
+
+/// Every diagnostic span of a rejected source, notes included, lies inside
+/// the source and starts and ends on char boundaries.
+fn assert_spans_in_bounds(src: &str, err: &lilac_util::LilacError) {
+    for diag in err.diagnostics() {
+        let spans = std::iter::once(diag.span).chain(diag.notes.iter().map(|(_, s)| *s));
+        for span in spans {
+            let (start, end) = (span.start as usize, span.end as usize);
+            assert!(start <= end && end <= src.len(), "span {start}..{end} outside {src:?}");
+            assert!(
+                src.is_char_boundary(start) && src.is_char_boundary(end),
+                "span {start}..{end} splits a character of {src:?}"
+            );
+        }
+    }
+}
+
+/// Non-ASCII characters outside comments and strings are rejected with a
+/// structured "unexpected character" diagnostic, never a panic: the lexer's
+/// two-character operator lookahead must not slice inside a multi-byte
+/// character.
+#[test]
+fn non_ascii_input_gets_a_diagnostic_not_a_panic() {
+    for src in ["a —", "/§ x", "-–"] {
+        let err = parse_program("m.lilac", src).expect_err("non-ASCII outside a comment");
+        assert!(err.primary().message.starts_with("unexpected character"), "{src:?}: {err}");
+        assert_spans_in_bounds(src, &err);
+    }
+    let valid = "// a comment\n\
+                 extern comp Reg[#W]<G:1>(in: [G, G+1] #W) -> (out: [G+1, G+2] #W);\n\
+                 comp Top[#W]<G:1>(i: [G, G+1] #W) -> (o: [G+1, G+2] #W) {\n\
+                     r := new Reg[#W]<G>(i);\n\
+                     o = r.out;\n\
+                 }\n";
+    let comment_end = valid.find('\n').expect("the comment ends the first line");
+    for ch in ['—', '§', '–', 'é'] {
+        for at in (0..=valid.len()).filter(|&at| valid.is_char_boundary(at)) {
+            let src = format!("{}{ch}{}", &valid[..at], &valid[at..]);
+            let in_comment = at > 1 && at <= comment_end;
+            match parse_program("m.lilac", &src) {
+                Ok(_) => assert!(in_comment, "{ch:?} at {at} was accepted"),
+                Err(err) => {
+                    assert!(!in_comment, "{ch:?} at {at} inside the comment: {err}");
+                    assert_spans_in_bounds(&src, &err);
+                    let span = err.primary().span;
+                    assert!(span.start as usize <= at && at < span.end as usize, "{ch:?} at {at}");
+                }
+            }
+        }
+    }
+}

@@ -1429,6 +1429,12 @@ mod tests {
             let a = check_program_with(&program, &parallel).unwrap();
             let b = check_program_with(&program, &parallel).unwrap();
             let c = check_program_with(&program, &serial).unwrap();
+            // A cold incremental check on an empty store checks every
+            // component, fanned out the same way.
+            let mut empty = lilac_core::PriorReports::new();
+            let d = lilac_core::check_program_incremental(&program, &parallel, &mut empty)
+                .unwrap()
+                .report;
             // Big enough that the default options really fan out.
             assert!(a.components.len() >= lilac_core::check::FAN_OUT_MIN_COMPONENTS);
             for (x, y) in a.components.iter().zip(b.components.iter()) {
@@ -1437,7 +1443,11 @@ mod tests {
             for (x, y) in a.components.iter().zip(c.components.iter()) {
                 assert_eq!(x.solver_stats, y.solver_stats, "{}", design.name());
             }
+            for (x, y) in a.components.iter().zip(d.components.iter()) {
+                assert_eq!(x.solver_stats, y.solver_stats, "{}", design.name());
+            }
             assert_eq!(a.solver_stats(), c.solver_stats(), "{}", design.name());
+            assert_eq!(a.solver_stats(), d.solver_stats(), "{}", design.name());
         }
     }
 

@@ -23,10 +23,12 @@
 //! refuted obligations carry the counterexample parameter assignment.
 
 use crate::comp::CompLibrary;
+use crate::fingerprint::{component_hash, ComponentHash};
 use crate::lower::{
     event_var, instantiation_conditions, lower_constraint, lower_param_expr, lower_time,
     out_param_expr, param_var, resolve_param_args, InstanceInfo, LowerEnv, Obligation,
 };
+use crate::reports::PriorReports;
 use lilac_ast::{
     Access, Cmd, Interval, Module, ModuleKind, PortDecl, PortType, Program, Signature,
 };
@@ -130,10 +132,10 @@ impl CheckReport {
 /// Knobs controlling how a whole program is checked.
 #[derive(Clone, Debug)]
 pub struct CheckOptions {
-    /// Let a program with at least [`FAN_OUT_MIN_COMPONENTS`] components
-    /// check them on worker threads. Smaller programs, and every program
-    /// when this is off, are checked on the caller's thread. Reports are
-    /// merged in component order either way.
+    /// Let a check with at least [`FAN_OUT_MIN_COMPONENTS`] components to
+    /// check run them on worker threads. Fewer components, and every check
+    /// when this is off, run on the caller's thread. Reports are merged in
+    /// component order either way.
     pub parallel: bool,
     /// Solver configuration used for every component.
     pub solver_config: SolverConfig,
@@ -180,11 +182,11 @@ pub fn check_program(program: &Program) -> Result<CheckReport> {
     check_program_with(program, &CheckOptions::default())
 }
 
-/// Fewest components a program needs before [`check_program_with`] fans
-/// them out over worker threads. Fuzz-sized programs (one to five small
-/// components) lose more to thread spawns and joins than the fan-out saves,
-/// so they are checked on the caller's thread; the bundled designs (seven to
-/// fourteen components) are checked in parallel.
+/// Fewest components left to check before a whole-program check (plain or
+/// incremental) fans them out over worker threads. Fuzz-sized programs (one
+/// to five small components) lose more to thread spawns and joins than the
+/// fan-out saves, so they are checked on the caller's thread; the bundled
+/// designs (seven to fourteen components) are checked in parallel.
 pub const FAN_OUT_MIN_COMPONENTS: usize = 6;
 
 /// Type-checks a whole program under explicit [`CheckOptions`].
@@ -193,22 +195,102 @@ pub const FAN_OUT_MIN_COMPONENTS: usize = 6;
 ///
 /// See [`check_program`].
 pub fn check_program_with(program: &Program, options: &CheckOptions) -> Result<CheckReport> {
+    check_against(program, options, None).map(|checked| checked.report)
+}
+
+/// What [`check_program_incremental`] did: the report plus hit/miss counts.
+#[derive(Clone, Debug)]
+pub struct IncrementalReport {
+    /// The per-component reports (replayed or freshly checked), in module
+    /// order — [`CheckReport::equivalent`] to a from-scratch check.
+    pub report: CheckReport,
+    /// Components whose verdict was replayed from the store.
+    pub hits: usize,
+    /// Components that were checked.
+    pub misses: usize,
+}
+
+/// Type-checks a program, replaying stored clean verdicts from `prior` for
+/// every component whose content hash hits, and admitting the fresh clean
+/// verdicts back into `prior` for the next request in the stream.
+///
+/// The produced report is [`CheckReport::equivalent`] to what
+/// [`check_program_with`] returns on the same program — the tenth
+/// differential oracle pins exactly that.
+///
+/// # Errors
+///
+/// Mirrors [`check_program_with`]: library errors and component error
+/// diagnostics are returned as a [`LilacError`] (after `prior` has admitted
+/// the clean components).
+pub fn check_program_incremental(
+    program: &Program,
+    options: &CheckOptions,
+    prior: &mut PriorReports,
+) -> Result<IncrementalReport> {
+    check_against(program, options, Some(prior))
+}
+
+/// The one whole-program checking path. Builds the component library; with
+/// a `store`, hashes every component and replays the hits; checks the rest
+/// under panic isolation, fanning them out over worker threads when
+/// `options.parallel` is set and at least [`FAN_OUT_MIN_COMPONENTS`] are
+/// left to check; admits the clean fresh verdicts; and folds the verdict.
+/// Without a store nothing is hashed and every component is checked.
+fn check_against(
+    program: &Program,
+    options: &CheckOptions,
+    mut store: Option<&mut PriorReports>,
+) -> Result<IncrementalReport> {
     let lib = CompLibrary::build(program)?;
     let modules: Vec<&Module> =
         lib.iter().filter(|m| matches!(m.kind, ModuleKind::Comp { .. })).collect();
+    // Every lookup happens before any fresh verdict is admitted, so a
+    // request's hit count never depends on its own misses.
+    let keyed: Vec<(Option<ComponentHash>, Option<ComponentReport>)> = modules
+        .iter()
+        .map(|m| match store.as_deref() {
+            Some(store) => {
+                let hash = component_hash(&lib, m);
+                (Some(hash), store.lookup(hash, m.name()))
+            }
+            None => (None, None),
+        })
+        .collect();
+    let pending: Vec<&Module> = modules
+        .iter()
+        .zip(&keyed)
+        .filter(|(_, (_, replay))| replay.is_none())
+        .map(|(module, _)| *module)
+        .collect();
+    let (hits, misses) = (modules.len() - pending.len(), pending.len());
     let check = |module: &&Module| check_isolated(&lib, module, options);
-    verdict(if options.parallel && modules.len() >= FAN_OUT_MIN_COMPONENTS {
-        par_map(&modules, check)
+    let mut fresh = if options.parallel && pending.len() >= FAN_OUT_MIN_COMPONENTS {
+        par_map(&pending, check)
     } else {
-        modules.iter().map(check).collect()
-    })
+        pending.iter().map(check).collect()
+    }
+    .into_iter();
+    let components = keyed
+        .into_iter()
+        .map(|(hash, replay)| {
+            replay.unwrap_or_else(|| {
+                let report = fresh.next().expect("one fresh report per miss");
+                if let (Some(store), Some(hash)) = (store.as_deref_mut(), hash) {
+                    store.insert(hash, &report);
+                }
+                report
+            })
+        })
+        .collect();
+    verdict(components).map(|report| IncrementalReport { report, hits, misses })
 }
 
 /// Checks one component under panic isolation: a checker panic (a bug, an
 /// injected fault, an exhausted budget) becomes an error diagnostic on its
 /// own component instead of tearing down the process and losing every
 /// other component's result.
-pub(crate) fn check_isolated(
+fn check_isolated(
     lib: &CompLibrary<'_>,
     module: &Module,
     options: &CheckOptions,
@@ -221,8 +303,9 @@ pub(crate) fn check_isolated(
 
 /// Folds per-component reports into a whole-program verdict: the report
 /// when no component has an error diagnostic, otherwise every error
-/// diagnostic in component order.
-pub(crate) fn verdict(components: Vec<ComponentReport>) -> Result<CheckReport> {
+/// diagnostic in component order. Every whole-program checking path folds
+/// through this, the `lilac-service` pool included.
+pub fn verdict(components: Vec<ComponentReport>) -> Result<CheckReport> {
     let errors: Vec<Diagnostic> = components
         .iter()
         .flat_map(|c| &c.diagnostics)

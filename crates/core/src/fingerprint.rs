@@ -28,23 +28,18 @@
 //! a callee's *body* changes nothing upstream — which is precisely the
 //! modular-checking contract.
 //!
-//! [`check_program_incremental`] threads a [`PriorReports`] store across a
-//! request stream: components whose hash hits a stored **clean** report are
-//! not re-checked. Only clean, non-degraded reports are ever stored —
-//! diagnostics embed source locations and file ids that are not stable
-//! across parses, and degraded verdicts describe a fault, not the program —
-//! so a cache hit can never replay a stale rejection or a faulted answer.
+//! [`check_program_incremental`](crate::check_program_incremental) threads a
+//! [`PriorReports`](crate::PriorReports) store across a request stream:
+//! components whose hash hits a stored **clean** verdict are not re-checked
+//! (see [`crate::reports`] for what is stored and why).
 
-use crate::check::{check_isolated, verdict, CheckOptions, CheckReport, ComponentReport};
 use crate::comp::CompLibrary;
 use lilac_ast::{
     Access, Cmd, Constraint, Ident, Interval, Module, ModuleKind, ParamExpr, PortDecl, PortType,
-    Program, Signature, TimeExpr,
+    Signature, TimeExpr,
 };
-use lilac_util::diag::Result;
 use lilac_util::intern::Symbol;
 use std::collections::{HashMap, HashSet};
-use std::time::Duration;
 
 /// The 128-bit content address of one component's checking inputs.
 ///
@@ -511,131 +506,14 @@ pub fn program_component_hashes(lib: &CompLibrary<'_>) -> Vec<(Symbol, Component
         .collect()
 }
 
-// ---------------------------------------------------------------------------
-// Incremental re-checking
-// ---------------------------------------------------------------------------
-
-/// Clean component reports from earlier requests, keyed by content hash.
-///
-/// Only clean reports — no diagnostics, no degraded marker — are admitted
-/// (see the module docs for why), so a hit can only ever replay an accept
-/// that the checker would reproduce verbatim.
-#[derive(Clone, Debug, Default)]
-pub struct PriorReports {
-    map: HashMap<u128, ComponentReport>,
-}
-
-impl PriorReports {
-    /// An empty store.
-    pub fn new() -> PriorReports {
-        PriorReports::default()
-    }
-
-    /// Number of stored reports.
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// True if nothing is stored.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
-    }
-
-    /// Admits a report if it is clean (no diagnostics, not degraded).
-    /// Returns whether it was stored.
-    pub fn insert(&mut self, hash: ComponentHash, report: &ComponentReport) -> bool {
-        if report.diagnostics.is_empty() && report.degraded.is_none() {
-            self.map.insert(hash.key(), report.clone());
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Looks up a stored clean report, rebinding it to the current
-    /// component's name (the hash is alpha-invariant, so the stored name may
-    /// differ) and zeroing `elapsed` (no checking work was done).
-    pub fn lookup(&self, hash: ComponentHash, name: Symbol) -> Option<ComponentReport> {
-        self.map.get(&hash.key()).map(|stored| ComponentReport {
-            name,
-            elapsed: Duration::ZERO,
-            ..stored.clone()
-        })
-    }
-
-    /// Absorbs every clean component report of a checked program, keyed by
-    /// the hashes of `lib`. Components without a matching report (or with
-    /// diagnostics or a degraded marker) are skipped.
-    pub fn absorb(&mut self, lib: &CompLibrary<'_>, report: &CheckReport) {
-        for (name, hash) in program_component_hashes(lib) {
-            if let Some(comp) = report.components.iter().find(|c| c.name == name) {
-                self.insert(hash, comp);
-            }
-        }
-    }
-}
-
-/// What [`check_program_incremental`] did: the report plus hit/miss counts.
-#[derive(Clone, Debug)]
-pub struct IncrementalReport {
-    /// The per-component reports (reused or freshly checked), in module
-    /// order — [`CheckReport::equivalent`] to a from-scratch check.
-    pub report: CheckReport,
-    /// Components whose verdict was replayed from `prior`.
-    pub hits: usize,
-    /// Components that were re-checked.
-    pub misses: usize,
-}
-
-/// Type-checks a program, reusing stored clean verdicts from `prior` for
-/// every component whose content hash hits, and absorbing the fresh clean
-/// verdicts back into `prior` for the next request in the stream.
-///
-/// The produced report is [`CheckReport::equivalent`] to what
-/// [`crate::check_program_with`] returns on the same program — the tenth
-/// differential oracle pins exactly that.
-///
-/// # Errors
-///
-/// Mirrors [`crate::check_program_with`]: library errors and component
-/// error diagnostics are returned as a [`lilac_util::diag::LilacError`]
-/// (after `prior` has absorbed the clean components).
-pub fn check_program_incremental(
-    program: &Program,
-    options: &CheckOptions,
-    prior: &mut PriorReports,
-) -> Result<IncrementalReport> {
-    let lib = CompLibrary::build(program)?;
-    let modules: Vec<&Module> =
-        lib.iter().filter(|m| matches!(m.kind, ModuleKind::Comp { .. })).collect();
-    let hashes: Vec<ComponentHash> = modules.iter().map(|m| component_hash(&lib, m)).collect();
-    // Every lookup happens before any fresh verdict is admitted, so a
-    // request's hit count never depends on its own misses.
-    let slots: Vec<Option<ComponentReport>> =
-        modules.iter().zip(&hashes).map(|(m, h)| prior.lookup(*h, m.name())).collect();
-    let hits = slots.iter().flatten().count();
-    let misses = modules.len() - hits;
-    // Misses get `check_program_with`'s panic isolation, on this thread:
-    // they are the few edited components of a request.
-    let components = slots
-        .into_iter()
-        .zip(modules.iter().zip(&hashes))
-        .map(|(slot, (module, hash))| {
-            slot.unwrap_or_else(|| {
-                let fresh = check_isolated(&lib, module, options);
-                prior.insert(*hash, &fresh);
-                fresh
-            })
-        })
-        .collect();
-    verdict(components).map(|report| IncrementalReport { report, hits, misses })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::check::check_program_with;
+    use crate::check::{check_program_incremental, check_program_with, CheckOptions};
+    use crate::reports::PriorReports;
     use lilac_ast::parse_program;
+    use lilac_ast::Program;
+    use std::time::Duration;
 
     fn parse(src: &str) -> Program {
         let (prog, _) = parse_program("t.lilac", src).expect("test program parses");

@@ -47,14 +47,13 @@ pub mod comp;
 pub mod fingerprint;
 pub mod interface;
 pub mod lower;
+pub mod reports;
 
 pub use check::{
-    check_component, check_component_with, check_program, check_program_with, CheckOptions,
-    CheckReport, ComponentReport,
+    check_component, check_component_with, check_program, check_program_incremental,
+    check_program_with, verdict, CheckOptions, CheckReport, ComponentReport, IncrementalReport,
 };
 pub use comp::CompLibrary;
-pub use fingerprint::{
-    check_program_incremental, component_hash, program_component_hashes, ComponentHash,
-    IncrementalReport, PriorReports,
-};
+pub use fingerprint::{component_hash, program_component_hashes, ComponentHash};
 pub use interface::{GeneratorFeature, InterfaceStyle, TimingKnowledge};
+pub use reports::PriorReports;

@@ -1,65 +1,82 @@
-//! The content-addressed [`ComponentReport`] cache behind
-//! [`crate::CheckService::check_incremental`].
+//! The content-addressed verdict store behind incremental checking.
 //!
-//! Entries are keyed by [`lilac_core::ComponentHash`] — the alpha- and
-//! location-invariant 128-bit address of a component's checking inputs —
-//! so a hit means the checker has already discharged this exact footprint
-//! (its module plus the signatures of everything it references) and the
-//! stored verdict can be replayed without dispatching to the pool.
-//! Invalidation needs no bookkeeping: editing a callee's signature changes
-//! every (transitive) caller's hash, so stale entries are simply never
-//! addressed again and age out of the FIFO capacity bound.
+//! Entries are keyed by [`ComponentHash`] — the alpha- and
+//! location-invariant 128-bit address of a component's checking inputs — so
+//! a hit means the checker has already discharged this exact footprint (its
+//! module plus the signatures of everything it references) and the stored
+//! verdict can be replayed without checking again. Invalidation needs no
+//! bookkeeping: editing a callee's signature changes every (transitive)
+//! caller's hash, so stale entries are simply never addressed again and age
+//! out of the FIFO capacity bound.
 //!
 //! Only **clean** verdicts are admitted: no diagnostics (their spans and
 //! file ids are not stable across parses) and no degraded marker (a faulted
 //! answer describes the fault, not the program). A hit therefore replays an
 //! accept the checker would reproduce verbatim, and rejections are always
-//! re-derived — a stale reject is structurally impossible.
+//! re-derived — a stale reject is structurally impossible. A clean verdict
+//! boils down to its obligation and proof counts, so that is all an entry
+//! keeps; a replay rebinds the current component's name and reports zero
+//! elapsed time and zero solver effort, because no checking work was done.
 //!
 //! Persistence reuses the [`lilac_solver::persist`] checksummed-image
-//! envelope (magic `LILACRPC`), including the temp-file + atomic-rename
-//! save and the quarantine-on-corruption load policy. The content hashes
-//! themselves are cross-process stable (FNV-1a over a canonical encoding,
-//! no interner ids), so an image written by one run hits in the next.
+//! envelope (magic `LILACRPC`, version 1), including the temp-file +
+//! atomic-rename save and the quarantine-on-corruption load policy. The
+//! content hashes themselves are cross-process stable (FNV-1a over a
+//! canonical encoding, no interner ids), so an image written by one run hits
+//! in the next.
 
-use lilac_core::{ComponentHash, ComponentReport};
+use crate::check::ComponentReport;
+use crate::fingerprint::ComponentHash;
 use lilac_solver::persist::{
     open_image, quarantine_image, save_image, seal_image, CacheLoadError, CacheLoadStatus,
 };
+use lilac_solver::SolverStats;
 use lilac_util::intern::Symbol;
 use std::collections::{HashMap, VecDeque};
 use std::path::Path;
 use std::time::Duration;
 
-/// Magic prefix of a serialized report-cache image.
-pub const REPORT_MAGIC: &[u8; 8] = b"LILACRPC";
-/// Current report-cache format version.
-pub const REPORT_VERSION: u32 = 1;
+/// Magic prefix of a serialized store image.
+const REPORT_MAGIC: &[u8; 8] = b"LILACRPC";
+/// Current store image format version.
+const REPORT_VERSION: u32 = 1;
+/// Most clean verdicts a store retains; past it the oldest is evicted first.
+const REPORT_CAPACITY: usize = 65_536;
 
 /// What a clean verdict boils down to: the obligation and proof counts.
-/// (Diagnostics are empty by admission policy; name, timing, and solver
-/// effort are rebound or zeroed on replay.)
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 struct Entry {
     obligations: u64,
     proved: u64,
 }
 
-/// A bounded FIFO cache of clean component verdicts, keyed by content hash.
+/// A bounded FIFO store of clean component verdicts, keyed by content hash
+/// (see the [module docs](self)).
 #[derive(Clone, Debug)]
-pub struct ReportCache {
+pub struct PriorReports {
     map: HashMap<u128, Entry>,
     order: VecDeque<u128>,
     capacity: usize,
 }
 
-impl ReportCache {
-    /// An empty cache holding at most `capacity` entries (FIFO eviction).
-    pub fn new(capacity: usize) -> ReportCache {
-        ReportCache { map: HashMap::new(), order: VecDeque::new(), capacity: capacity.max(1) }
+impl Default for PriorReports {
+    fn default() -> PriorReports {
+        PriorReports::with_capacity(REPORT_CAPACITY)
+    }
+}
+
+impl PriorReports {
+    /// An empty store.
+    pub fn new() -> PriorReports {
+        PriorReports::default()
     }
 
-    /// Stored entries.
+    /// An empty store holding at most `capacity` entries.
+    pub(crate) fn with_capacity(capacity: usize) -> PriorReports {
+        PriorReports { map: HashMap::new(), order: VecDeque::new(), capacity: capacity.max(1) }
+    }
+
+    /// Number of stored verdicts.
     pub fn len(&self) -> usize {
         self.map.len()
     }
@@ -71,19 +88,20 @@ impl ReportCache {
 
     /// Admits a verdict if it is clean: no diagnostics and no degraded
     /// marker. Returns whether it was stored.
-    pub fn admit(&mut self, hash: ComponentHash, report: &ComponentReport) -> bool {
+    pub fn insert(&mut self, hash: ComponentHash, report: &ComponentReport) -> bool {
         if !report.diagnostics.is_empty() || report.degraded.is_some() {
             return false;
         }
-        let key = hash.key();
-        if self
-            .map
-            .insert(
-                key,
-                Entry { obligations: report.obligations as u64, proved: report.proved as u64 },
-            )
-            .is_none()
-        {
+        self.push(
+            hash.key(),
+            Entry { obligations: report.obligations as u64, proved: report.proved as u64 },
+        );
+        true
+    }
+
+    /// Stores an entry, evicting the oldest past the capacity bound.
+    fn push(&mut self, key: u128, entry: Entry) {
+        if self.map.insert(key, entry).is_none() {
             self.order.push_back(key);
             while self.map.len() > self.capacity {
                 if let Some(old) = self.order.pop_front() {
@@ -91,14 +109,13 @@ impl ReportCache {
                 }
             }
         }
-        true
     }
 
-    /// Replays a stored clean verdict as a [`ComponentReport`] bound to the
-    /// current component's name. Obligation and proof counts are alpha- and
+    /// Replays a stored clean verdict as a report bound to the current
+    /// component's name. Obligation and proof counts are alpha- and
     /// location-invariant, so the replay is
-    /// [`lilac_core::CheckReport::equivalent`] to what re-checking would
-    /// produce; elapsed time and solver effort are zero — no work was done.
+    /// [`CheckReport::equivalent`](crate::CheckReport::equivalent) to what
+    /// re-checking would produce; elapsed time and solver effort are zero.
     pub fn lookup(&self, hash: ComponentHash, name: Symbol) -> Option<ComponentReport> {
         self.map.get(&hash.key()).map(|e| ComponentReport {
             name,
@@ -106,16 +123,16 @@ impl ReportCache {
             proved: e.proved as usize,
             diagnostics: Vec::new(),
             elapsed: Duration::ZERO,
-            solver_stats: Default::default(),
+            solver_stats: SolverStats::default(),
             degraded: None,
             lints: Vec::new(),
         })
     }
 
-    /// Serializes the cache to a self-validating image (see
+    /// Serializes the store to a self-validating image (see
     /// [`lilac_solver::persist`] for the envelope). Entries are written in
     /// key order, so equal contents produce equal bytes.
-    pub fn to_bytes(&self) -> Vec<u8> {
+    fn to_bytes(&self) -> Vec<u8> {
         let mut keys: Vec<&u128> = self.map.keys().collect();
         keys.sort_unstable();
         let mut payload = Vec::with_capacity(8 + keys.len() * 32);
@@ -130,13 +147,9 @@ impl ReportCache {
     }
 
     /// Validates and deserializes an image produced by
-    /// [`ReportCache::to_bytes`], with the given capacity bound.
-    ///
-    /// # Errors
-    ///
-    /// Any header or payload inconsistency is a [`CacheLoadError`]; this
-    /// never panics on bad input.
-    pub fn from_bytes(bytes: &[u8], capacity: usize) -> Result<ReportCache, CacheLoadError> {
+    /// [`PriorReports::to_bytes`]. Any header or payload inconsistency is a
+    /// [`CacheLoadError`]; this never panics on bad input.
+    fn from_bytes(bytes: &[u8]) -> Result<PriorReports, CacheLoadError> {
         let payload = open_image(REPORT_MAGIC, REPORT_VERSION, bytes)?;
         if payload.len() < 8 {
             return Err(CacheLoadError::Malformed("payload shorter than its count"));
@@ -146,7 +159,7 @@ impl ReportCache {
         if body.len() != count.saturating_mul(32) {
             return Err(CacheLoadError::Malformed("entry area does not match count"));
         }
-        let mut cache = ReportCache::new(capacity);
+        let mut store = PriorReports::new();
         for chunk in body.chunks_exact(32) {
             let key = u128::from_le_bytes(chunk[0..16].try_into().expect("16 bytes"));
             let entry = Entry {
@@ -156,19 +169,12 @@ impl ReportCache {
             if entry.proved > entry.obligations {
                 return Err(CacheLoadError::Malformed("proved exceeds obligations"));
             }
-            if cache.map.insert(key, entry).is_none() {
-                cache.order.push_back(key);
-            }
+            store.push(key, entry);
         }
-        while cache.map.len() > cache.capacity {
-            if let Some(old) = cache.order.pop_front() {
-                cache.map.remove(&old);
-            }
-        }
-        Ok(cache)
+        Ok(store)
     }
 
-    /// Writes the cache image to `path` (temp file + atomic rename).
+    /// Writes the store image to `path` (temp file + atomic rename).
     ///
     /// # Errors
     ///
@@ -181,21 +187,21 @@ impl ReportCache {
     /// The same recovery policy as [`lilac_solver::SharedCache`]: a missing
     /// file starts cold, a valid image loads warm, and an invalid image is
     /// quarantined to `<path>.quarantined` before starting cold.
-    pub fn load_or_quarantine(path: &Path, capacity: usize) -> (ReportCache, CacheLoadStatus) {
+    pub fn load_or_quarantine(path: &Path) -> (PriorReports, CacheLoadStatus) {
         if !path.exists() {
-            return (ReportCache::new(capacity), CacheLoadStatus::Missing);
+            return (PriorReports::new(), CacheLoadStatus::Missing);
         }
         let loaded = std::fs::read(path)
             .map_err(|e| CacheLoadError::Io(e.to_string()))
-            .and_then(|bytes| ReportCache::from_bytes(&bytes, capacity));
+            .and_then(|bytes| PriorReports::from_bytes(&bytes));
         match loaded {
-            Ok(cache) => {
-                let entries = cache.len();
-                (cache, CacheLoadStatus::Loaded { entries })
+            Ok(store) => {
+                let entries = store.len();
+                (store, CacheLoadStatus::Loaded { entries })
             }
             Err(error) => {
                 let moved_to = quarantine_image(path);
-                (ReportCache::new(capacity), CacheLoadStatus::Quarantined { error, moved_to })
+                (PriorReports::new(), CacheLoadStatus::Quarantined { error, moved_to })
             }
         }
     }
@@ -204,7 +210,6 @@ impl ReportCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lilac_solver::SolverStats;
     use lilac_util::diag::{CheckError, CheckErrorKind, Diagnostic, Severity};
     use lilac_util::span::Span;
 
@@ -219,7 +224,7 @@ mod tests {
             proved,
             diagnostics: Vec::new(),
             elapsed: Duration::from_millis(5),
-            solver_stats: SolverStats::default(),
+            solver_stats: SolverStats { queries: obligations, ..SolverStats::default() },
             degraded: None,
             lints: Vec::new(),
         }
@@ -227,50 +232,52 @@ mod tests {
 
     #[test]
     fn admit_lookup_rebinds_name_and_zeroes_effort() {
-        let mut cache = ReportCache::new(16);
-        assert!(cache.admit(hash(1), &clean_report("A", 7, 7)));
-        let replay = cache.lookup(hash(1), Symbol::intern("B")).expect("hit");
+        let mut store = PriorReports::new();
+        assert!(store.insert(hash(1), &clean_report("A", 7, 7)));
+        let replay = store.lookup(hash(1), Symbol::intern("B")).expect("hit");
         assert_eq!(replay.name.as_str(), "B");
         assert_eq!((replay.obligations, replay.proved), (7, 7));
         assert!(replay.diagnostics.is_empty());
         assert_eq!(replay.elapsed, Duration::ZERO);
-        assert!(cache.lookup(hash(2), Symbol::intern("A")).is_none());
+        assert_eq!(replay.solver_stats, SolverStats::default());
+        assert!(store.lookup(hash(2), Symbol::intern("A")).is_none());
     }
 
     #[test]
     fn dirty_and_degraded_reports_are_refused() {
-        let mut cache = ReportCache::new(16);
+        let mut store = PriorReports::new();
         let mut with_diag = clean_report("A", 3, 2);
         with_diag.diagnostics.push(Diagnostic::error("refuted", Span::dummy()));
-        assert!(!cache.admit(hash(1), &with_diag), "reports with diagnostics must be refused");
+        assert!(!store.insert(hash(1), &with_diag), "reports with diagnostics must be refused");
         let mut degraded = clean_report("A", 3, 3);
         degraded.degraded =
             Some(CheckError::new(CheckErrorKind::Degraded, Severity::Recoverable, "fallback"));
-        assert!(!cache.admit(hash(2), &degraded), "degraded reports must be refused");
-        assert!(cache.is_empty());
+        assert!(!store.insert(hash(2), &degraded), "degraded reports must be refused");
+        assert!(store.is_empty());
     }
 
     #[test]
     fn capacity_evicts_oldest_first() {
-        let mut cache = ReportCache::new(2);
-        cache.admit(hash(1), &clean_report("A", 1, 1));
-        cache.admit(hash(2), &clean_report("B", 2, 2));
-        cache.admit(hash(3), &clean_report("C", 3, 3));
-        assert_eq!(cache.len(), 2);
-        assert!(cache.lookup(hash(1), Symbol::intern("A")).is_none(), "oldest evicted");
-        assert!(cache.lookup(hash(2), Symbol::intern("B")).is_some());
-        assert!(cache.lookup(hash(3), Symbol::intern("C")).is_some());
+        let mut store = PriorReports::with_capacity(2);
+        store.insert(hash(1), &clean_report("A", 1, 1));
+        store.insert(hash(2), &clean_report("B", 2, 2));
+        store.insert(hash(3), &clean_report("C", 3, 3));
+        assert_eq!(store.len(), 2);
+        assert!(store.lookup(hash(1), Symbol::intern("A")).is_none(), "oldest evicted");
+        assert!(store.lookup(hash(2), Symbol::intern("B")).is_some());
+        assert!(store.lookup(hash(3), Symbol::intern("C")).is_some());
     }
 
     #[test]
     fn image_round_trips_and_is_deterministic() {
-        let mut cache = ReportCache::new(64);
+        let mut store = PriorReports::new();
         for n in 0..20u64 {
-            cache.admit(hash(n), &clean_report("X", n as usize + 1, n as usize));
+            store.insert(hash(n), &clean_report("X", n as usize + 1, n as usize));
         }
-        let image = cache.to_bytes();
-        let reloaded = ReportCache::from_bytes(&image, 64).expect("image validates");
-        assert_eq!(reloaded.len(), cache.len());
+        let image = store.to_bytes();
+        assert!(image.starts_with(REPORT_MAGIC));
+        let reloaded = PriorReports::from_bytes(&image).expect("image validates");
+        assert_eq!(reloaded.len(), store.len());
         for n in 0..20u64 {
             assert_eq!(
                 reloaded.lookup(hash(n), Symbol::intern("X")).map(|r| (r.obligations, r.proved)),
@@ -283,22 +290,22 @@ mod tests {
     #[test]
     fn corruption_is_rejected_not_panicked() {
         let image = {
-            let mut cache = ReportCache::new(8);
-            cache.admit(hash(9), &clean_report("A", 4, 4));
-            cache.to_bytes()
+            let mut store = PriorReports::new();
+            store.insert(hash(9), &clean_report("A", 4, 4));
+            store.to_bytes()
         };
         for at in 0..image.len() {
             let mut bad = image.clone();
             bad[at] ^= 1 << (at % 8);
             assert!(
-                ReportCache::from_bytes(&bad, 8).is_err(),
+                PriorReports::from_bytes(&bad).is_err(),
                 "bit flip at byte {at} must be rejected"
             );
         }
         for keep in [0, 7, 27, image.len() - 1] {
-            assert!(ReportCache::from_bytes(&image[..keep], 8).is_err());
+            assert!(PriorReports::from_bytes(&image[..keep]).is_err());
         }
-        assert!(ReportCache::from_bytes(b"junk", 8).is_err());
+        assert!(PriorReports::from_bytes(b"junk").is_err());
     }
 
     #[test]
@@ -308,14 +315,14 @@ mod tests {
         let path = dir.join("reports.bin");
         let _ = std::fs::remove_file(&path);
 
-        let (cold, status) = ReportCache::load_or_quarantine(&path, 8);
+        let (cold, status) = PriorReports::load_or_quarantine(&path);
         assert!(cold.is_empty());
         assert_eq!(status, CacheLoadStatus::Missing);
 
-        let mut cache = ReportCache::new(8);
-        cache.admit(hash(1), &clean_report("A", 2, 2));
-        assert_eq!(cache.save(&path).expect("save"), 1);
-        let (reloaded, status) = ReportCache::load_or_quarantine(&path, 8);
+        let mut store = PriorReports::new();
+        store.insert(hash(1), &clean_report("A", 2, 2));
+        assert_eq!(store.save(&path).expect("save"), 1);
+        let (reloaded, status) = PriorReports::load_or_quarantine(&path);
         assert_eq!(status, CacheLoadStatus::Loaded { entries: 1 });
         assert!(reloaded.lookup(hash(1), Symbol::intern("A")).is_some());
 
@@ -323,7 +330,7 @@ mod tests {
         let last = bytes.len() - 1;
         bytes[last] ^= 0x10;
         std::fs::write(&path, &bytes).expect("write corrupted");
-        let (cold, status) = ReportCache::load_or_quarantine(&path, 8);
+        let (cold, status) = PriorReports::load_or_quarantine(&path);
         assert!(cold.is_empty(), "corrupt image must rebuild cold");
         match status {
             CacheLoadStatus::Quarantined { error, moved_to } => {

@@ -13,7 +13,7 @@
 //! 3. maps `extern` components onto hardware primitives (registers,
 //!    multiplexers, arithmetic);
 //! 4. flattens the instance hierarchy into a single
-//!    [`Netlist`](lilac_ir::Netlist) ready for simulation
+//!    [`Netlist`] ready for simulation
 //!    (`lilac-sim`), cost estimation (`lilac-synth`), or Verilog emission
 //!    (`lilac-ir::verilog`).
 //!

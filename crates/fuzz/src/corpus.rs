@@ -203,7 +203,7 @@ pub fn emit_case(scenario: &Scenario) -> Result<String, Failure> {
 /// oracle, the Verilog-backend oracle (emit → `lilac-vsim` parse →
 /// cycle-compare), the optimizer oracle, the retiming oracle, and the
 /// compiled-simulation oracle (all inside the shared
-/// [`crate::oracle::drive_netlist`] loop).
+/// `oracle::drive_netlist` loop).
 ///
 /// # Errors
 ///

@@ -43,9 +43,10 @@
 //! 10. an editing session over each program — alpha-rename, module
 //!     reorder, a one-component body edit, a callee-signature edit —
 //!     re-checked incrementally ([`lilac_core::check_program_incremental`])
-//!     with prior reports threaded through, reaches the from-scratch
-//!     verdict on every request, and the hash-preserving edits replay
-//!     entirely from cache (the incremental re-checking oracle).
+//!     with one [`PriorReports`](lilac_core::PriorReports) store threaded
+//!     through, reaches the from-scratch verdict on every request, and the
+//!     hash-preserving edits replay entirely from the store (the
+//!     incremental re-checking oracle).
 //!
 //! A sixth of the cases carry a deliberate one-cycle timing fault and must
 //! be *rejected* — identically — by every checker configuration.
@@ -171,8 +172,9 @@ pub struct FuzzConfig {
     pub cache_file: Option<std::path::PathBuf>,
     /// Route the service oracle's requests through
     /// [`CheckService::check_incremental`](lilac_service::CheckService) so
-    /// the content-addressed report cache replays clean verdicts across
-    /// cases. Like `faults`, this shapes only *how* the service answers:
+    /// the service's report cache — the same
+    /// [`PriorReports`](lilac_core::PriorReports) store oracle 10 threads
+    /// through the one-shot checker — replays clean verdicts across cases. Like `faults`, this shapes only *how* the service answers:
     /// verdicts — and therefore stdout and the fingerprint — must be
     /// byte-identical with and without it.
     pub incremental: bool,

@@ -61,9 +61,10 @@
 //!     program (alpha-rename everything, reorder the modules, edit one
 //!     component's body, edit an instantiated callee's signature; see
 //!     [`crate::mutate`]), re-checked request by request through
-//!     [`lilac_core::check_program_incremental`] with the prior requests'
-//!     reports threaded through, must reach exactly the from-scratch
-//!     verdict on every request. Renames and reorders over a fully clean
+//!     [`lilac_core::check_program_incremental`] with one
+//!     [`PriorReports`] store threaded through the requests (the store type
+//!     the service's report cache also uses), must reach exactly the
+//!     from-scratch verdict on every request. Renames and reorders over a fully clean
 //!     predecessor must additionally be *complete cache hits* — the
 //!     content hash is alpha-, order-, and location-invariant by
 //!     construction, and a single miss there is a hash instability. Active
@@ -79,7 +80,7 @@
 //!     every corpus replay.
 //!
 //! All simulation engines are driven through the one [`SimBackend`]
-//! contract, so adding an engine is one [`Engine`] constructor — not
+//! contract, so adding an engine is one `Engine` constructor — not
 //! another copy of the drive loop.
 
 use crate::mutate::{self, Mutation};

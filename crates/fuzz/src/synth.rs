@@ -1,4 +1,4 @@
-//! Lowering a [`Scenario`](crate::scenario::Scenario) to a Lilac program.
+//! Lowering a [`Scenario`] to a Lilac program.
 //!
 //! The synthesizer walks the scenario DAG, assigns every step its arrival
 //! time, and emits Lilac commands via `lilac_ast::build`. Operands that

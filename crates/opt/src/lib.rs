@@ -52,7 +52,7 @@
 //!
 //! Register **retiming** — relocating `Reg`/`Delay` stages across
 //! combinational logic to shorten the estimated critical path, scored by
-//! `lilac-synth`'s timing model — lives in the [`retime`] module as a
+//! `lilac-synth`'s timing model — lives in the [`retime`](mod@retime) module as a
 //! separate entry point ([`retime()`](retime())/[`retime_with_stats`]):
 //! unlike the shrinking passes above it deliberately trades register
 //! *placement* (and sometimes register count) for frequency, so it is not

@@ -20,9 +20,15 @@
 //!   disabled, no budget, capped exponential backoff between attempts), and
 //!   only if that also fails mark the component failed with a structured
 //!   [`CheckError`]. The process never aborts.
-//! * **Crash-safe cache persistence** — the shared solver cache can be
-//!   saved to and restored from disk; corrupt images are quarantined and the
-//!   cache rebuilds cold (see [`lilac_solver::persist`]).
+//! * **Content-addressed replay** — [`CheckService::check_incremental`]
+//!   replays clean component verdicts from a bounded [`PriorReports`] store,
+//!   the same store [`lilac_core::check_program_incremental`] threads, and
+//!   sends only the misses to the pool. [`CheckService::check`] is the same
+//!   serving path without the store, and both fold their verdict with the
+//!   one-shot checker's [`lilac_core::verdict`].
+//! * **Crash-safe cache persistence** — the shared solver cache and the
+//!   report cache can be saved to and restored from disk; corrupt images are
+//!   quarantined and the cache rebuilds cold (see [`lilac_solver::persist`]).
 //! * **Deterministic fault injection** — a seeded [`FaultPlan`] can force
 //!   worker panics, deadline expiries, budget exhaustion, and cache
 //!   corruption at deterministic sites, which is how the fuzzer's eighth
@@ -32,30 +38,28 @@
 //!   checker would.
 
 pub mod pool;
-pub mod reports;
 
 use lilac_ast::{ModuleKind, Program};
 use lilac_core::{
-    check_component_with, program_component_hashes, CheckOptions, CheckReport, CompLibrary,
-    ComponentHash, ComponentReport,
+    check_component_with, component_hash, verdict, CheckOptions, CheckReport, CompLibrary,
+    ComponentHash, ComponentReport, PriorReports,
 };
 use lilac_ir::Netlist;
 use lilac_sim::{CompiledSim, SimBackend};
 use lilac_solver::persist::CacheLoadStatus;
 use lilac_solver::{QueryBudget, SharedCache, SolverConfig};
-use lilac_util::diag::{CheckError, CheckErrorKind, DiagnosticKind, LilacError, Severity};
+use lilac_util::diag::{CheckError, CheckErrorKind, LilacError, Severity};
 use lilac_util::fault::{BudgetExhausted, BudgetKind, FaultKind, FaultPlan, InjectedPanic};
 use lilac_util::intern::Symbol;
 use lilac_util::par::WorkerPanic;
 use std::cell::Cell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use pool::WorkerPool;
-use reports::ReportCache;
 
 /// Configuration for a [`CheckService`].
 #[derive(Clone, Debug)]
@@ -78,10 +82,6 @@ pub struct ServiceConfig {
     /// (quarantining a corrupt image) and [`CheckService::save_cache`]
     /// writes back to it.
     pub cache_path: Option<PathBuf>,
-    /// Most clean component verdicts retained by the content-addressed
-    /// report cache behind [`CheckService::check_incremental`] (FIFO
-    /// eviction past the bound).
-    pub report_cache_capacity: usize,
     /// When set, the report cache is restored from this path at startup
     /// (quarantining a corrupt image) and
     /// [`CheckService::save_report_cache`] writes back to it.
@@ -130,7 +130,6 @@ impl Default for ServiceConfig {
             backoff_cap: Duration::from_millis(160),
             solver_config: SolverConfig::default(),
             cache_path: None,
-            report_cache_capacity: 65_536,
             report_cache_path: None,
             faults: FaultPlan::disabled(),
         }
@@ -141,7 +140,8 @@ impl Default for ServiceConfig {
 /// [`CheckService::stats`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ServiceStats {
-    /// Programs submitted through [`CheckService::check`].
+    /// Programs submitted through [`CheckService::check`] or
+    /// [`CheckService::check_incremental`].
     pub programs: u64,
     /// Check units (one component each) executed, counting retries once.
     pub units: u64,
@@ -254,9 +254,9 @@ pub struct CheckService {
     shared: Mutex<SharedCache>,
     /// What startup found at `cache_path` (None when no path configured).
     cache_status: Option<CacheLoadStatus>,
-    /// Content-addressed clean-verdict cache for
+    /// Content-addressed clean-verdict store for
     /// [`CheckService::check_incremental`].
-    reports: Mutex<ReportCache>,
+    reports: Mutex<PriorReports>,
     /// What startup found at `report_cache_path` (None when no path
     /// configured).
     report_cache_status: Option<CacheLoadStatus>,
@@ -275,39 +275,13 @@ impl CheckService {
     pub fn new(config: ServiceConfig) -> CheckService {
         install_quiet_panic_hook();
         let counters = Arc::new(Counters::default());
-        let (shared, cache_status) = match &config.cache_path {
-            Some(path) => {
-                let (cache, status) = SharedCache::load_or_quarantine(path);
-                match &status {
-                    CacheLoadStatus::Loaded { .. } => {
-                        counters.cache_reloads.fetch_add(1, Ordering::Relaxed);
-                    }
-                    CacheLoadStatus::Quarantined { .. } => {
-                        counters.cache_quarantines.fetch_add(1, Ordering::Relaxed);
-                    }
-                    CacheLoadStatus::Missing => {}
-                }
-                (cache, Some(status))
-            }
-            None => (SharedCache::new(), None),
-        };
-        let (reports, report_cache_status) = match &config.report_cache_path {
-            Some(path) => {
-                let (cache, status) =
-                    ReportCache::load_or_quarantine(path, config.report_cache_capacity);
-                match &status {
-                    CacheLoadStatus::Loaded { .. } => {
-                        counters.cache_reloads.fetch_add(1, Ordering::Relaxed);
-                    }
-                    CacheLoadStatus::Quarantined { .. } => {
-                        counters.cache_quarantines.fetch_add(1, Ordering::Relaxed);
-                    }
-                    CacheLoadStatus::Missing => {}
-                }
-                (cache, Some(status))
-            }
-            None => (ReportCache::new(config.report_cache_capacity), None),
-        };
+        let (shared, cache_status) =
+            restore(&counters, config.cache_path.as_deref(), SharedCache::load_or_quarantine);
+        let (reports, report_cache_status) = restore(
+            &counters,
+            config.report_cache_path.as_deref(),
+            PriorReports::load_or_quarantine,
+        );
         CheckService {
             pool: WorkerPool::new(config.workers),
             shared: Mutex::new(shared),
@@ -368,75 +342,10 @@ impl CheckService {
     /// becomes one pool unit run through the degradation ladder. The
     /// verdict has the same shape and contents as
     /// [`lilac_core::check_program_with`] — fault tolerance changes *how*
-    /// the answer is computed, never the answer.
+    /// the answer is computed, never the answer. The report cache is
+    /// neither read nor written.
     pub fn check(&self, program: &Program) -> ServiceOutcome {
-        let start = Instant::now();
-        self.counters.programs.fetch_add(1, Ordering::Relaxed);
-        // Validate the program shape once, inline: library errors are not a
-        // component's fault and take no ladder.
-        let names: Vec<Symbol> = match CompLibrary::build(program) {
-            Ok(lib) => lib
-                .iter()
-                .filter(|m| matches!(m.kind, ModuleKind::Comp { .. }))
-                .map(lilac_ast::Module::name)
-                .collect(),
-            Err(e) => {
-                return ServiceOutcome {
-                    verdict: Err(e),
-                    degradations: Vec::new(),
-                    elapsed: start.elapsed(),
-                }
-            }
-        };
-        let program = Arc::new(program.clone());
-        let cache = self.shared.lock().expect("cache handle poisoned").clone();
-        let (tx, rx) = mpsc::channel::<(usize, ComponentReport, Vec<CheckError>)>();
-        for (index, &name) in names.iter().enumerate() {
-            // Sites are assigned at submission time on the calling thread,
-            // so a deterministic request stream addresses deterministic
-            // sites regardless of worker scheduling.
-            let site = self.site_counter.fetch_add(1, Ordering::Relaxed);
-            let unit = UnitContext {
-                program: Arc::clone(&program),
-                component: name,
-                config: self.config.clone(),
-                cache: cache.clone(),
-                counters: Arc::clone(&self.counters),
-                site,
-            };
-            let tx = tx.clone();
-            self.pool.submit(Box::new(move || {
-                let (report, degradations) = run_unit(&unit);
-                // The receiver only disappears if the requester's thread
-                // panicked; dropping the result is then correct.
-                let _ = tx.send((index, report, degradations));
-            }));
-        }
-        drop(tx);
-        let mut slots: Vec<Option<(ComponentReport, Vec<CheckError>)>> =
-            names.iter().map(|_| None).collect();
-        for (index, report, degradations) in rx {
-            slots[index] = Some((report, degradations));
-        }
-        let mut components = Vec::with_capacity(slots.len());
-        let mut degradations = Vec::new();
-        for slot in slots {
-            let (report, errs) = slot.expect("every unit reports exactly once");
-            degradations.extend(errs);
-            components.push(report);
-        }
-        let errors: Vec<_> = components
-            .iter()
-            .flat_map(|c| c.diagnostics.iter())
-            .filter(|d| d.kind == DiagnosticKind::Error)
-            .cloned()
-            .collect();
-        let verdict = if errors.is_empty() {
-            Ok(CheckReport { components })
-        } else {
-            Err(LilacError::from_diagnostics(errors))
-        };
-        ServiceOutcome { verdict, degradations, elapsed: start.elapsed() }
+        self.serve(program, false)
     }
 
     /// Checks one program, replaying stored clean verdicts from the
@@ -449,19 +358,32 @@ impl CheckService {
     /// across a request stream only the components whose checking inputs
     /// actually changed are re-checked. Editing a callee's signature changes
     /// every transitive caller's hash, so invalidation is exact and needs no
-    /// bookkeeping. Only clean verdicts (no diagnostics, no degraded
-    /// marker) are ever cached, so a hit can never replay a stale rejection
-    /// or a faulted answer; misses run the full degradation ladder exactly
-    /// like [`CheckService::check`].
+    /// bookkeeping. The cache is a [`PriorReports`], the same store
+    /// [`lilac_core::check_program_incremental`] threads: only clean
+    /// verdicts are admitted, so a hit can never replay a stale rejection or
+    /// a faulted answer; misses run the full degradation ladder exactly like
+    /// [`CheckService::check`].
     ///
     /// The verdict is [`CheckReport::equivalent`] to what
     /// [`CheckService::check`] (and the one-shot checker) would produce —
     /// the fuzzer's tenth differential oracle pins exactly that.
     pub fn check_incremental(&self, program: &Program) -> ServiceOutcome {
+        self.serve(program, true)
+    }
+
+    /// The one serving path behind [`CheckService::check`] and (with
+    /// `incremental`) [`CheckService::check_incremental`]: validate the
+    /// library inline, replay report-cache hits when incremental, run every
+    /// other component on the pool, admit the fresh clean verdicts when
+    /// incremental, and fold the verdict with [`lilac_core::verdict`]. The
+    /// report-cache lock is never held while units run.
+    fn serve(&self, program: &Program, incremental: bool) -> ServiceOutcome {
         let start = Instant::now();
         self.counters.programs.fetch_add(1, Ordering::Relaxed);
-        let comps: Vec<(Symbol, ComponentHash)> = match CompLibrary::build(program) {
-            Ok(lib) => program_component_hashes(&lib),
+        // Validate the program shape once, inline: library errors are not a
+        // component's fault and take no ladder.
+        let lib = match CompLibrary::build(program) {
+            Ok(lib) => lib,
             Err(e) => {
                 return ServiceOutcome {
                     verdict: Err(e),
@@ -470,29 +392,31 @@ impl CheckService {
                 }
             }
         };
+        let comps: Vec<(Symbol, Option<ComponentHash>)> = lib
+            .iter()
+            .filter(|m| matches!(m.kind, ModuleKind::Comp { .. }))
+            .map(|m| (m.name(), incremental.then(|| component_hash(&lib, m))))
+            .collect();
         let mut slots: Vec<Option<(ComponentReport, Vec<CheckError>)>> =
             comps.iter().map(|_| None).collect();
-        let mut pending: Vec<usize> = Vec::new();
-        {
+        if incremental {
             let reports = self.reports.lock().expect("report cache poisoned");
-            for (index, (name, hash)) in comps.iter().enumerate() {
-                match reports.lookup(*hash, *name) {
-                    Some(replay) => {
-                        self.counters.report_hits.fetch_add(1, Ordering::Relaxed);
-                        slots[index] = Some((replay, Vec::new()));
-                    }
-                    None => {
-                        self.counters.report_misses.fetch_add(1, Ordering::Relaxed);
-                        pending.push(index);
-                    }
-                }
+            for (slot, (name, hash)) in slots.iter_mut().zip(&comps) {
+                *slot = hash.and_then(|h| reports.lookup(h, *name)).map(|hit| (hit, Vec::new()));
             }
+            let hits = slots.iter().flatten().count() as u64;
+            self.counters.report_hits.fetch_add(hits, Ordering::Relaxed);
+            self.counters.report_misses.fetch_add(comps.len() as u64 - hits, Ordering::Relaxed);
         }
+        let pending: Vec<usize> = (0..comps.len()).filter(|&i| slots[i].is_none()).collect();
         if !pending.is_empty() {
             let program = Arc::new(program.clone());
             let cache = self.shared.lock().expect("cache handle poisoned").clone();
             let (tx, rx) = mpsc::channel::<(usize, ComponentReport, Vec<CheckError>)>();
             for &index in &pending {
+                // Sites are assigned at submission time on the calling
+                // thread, so a deterministic request stream addresses
+                // deterministic sites regardless of worker scheduling.
                 let site = self.site_counter.fetch_add(1, Ordering::Relaxed);
                 let unit = UnitContext {
                     program: Arc::clone(&program),
@@ -511,35 +435,27 @@ impl CheckService {
                 }));
             }
             drop(tx);
-            let mut reports = Vec::with_capacity(pending.len());
-            for received in rx {
-                reports.push(received);
+            let received: Vec<_> = rx.into_iter().collect();
+            if incremental {
+                let mut reports = self.reports.lock().expect("report cache poisoned");
+                for (index, report, _) in &received {
+                    if let Some(hash) = comps[*index].1 {
+                        reports.insert(hash, report);
+                    }
+                }
             }
-            let mut cache = self.reports.lock().expect("report cache poisoned");
-            for (index, report, degradations) in reports {
-                cache.admit(comps[index].1, &report);
+            for (index, report, degradations) in received {
                 slots[index] = Some((report, degradations));
             }
         }
         let mut components = Vec::with_capacity(slots.len());
         let mut degradations = Vec::new();
         for slot in slots {
-            let (report, errs) = slot.expect("every slot filled");
+            let (report, errs) = slot.expect("every unit reports exactly once");
             degradations.extend(errs);
             components.push(report);
         }
-        let errors: Vec<_> = components
-            .iter()
-            .flat_map(|c| c.diagnostics.iter())
-            .filter(|d| d.kind == DiagnosticKind::Error)
-            .cloned()
-            .collect();
-        let verdict = if errors.is_empty() {
-            Ok(CheckReport { components })
-        } else {
-            Err(LilacError::from_diagnostics(errors))
-        };
-        ServiceOutcome { verdict, degradations, elapsed: start.elapsed() }
+        ServiceOutcome { verdict: verdict(components), degradations, elapsed: start.elapsed() }
     }
 
     /// Saves the report cache to [`ServiceConfig::report_cache_path`].
@@ -640,6 +556,30 @@ impl CheckService {
         let cache = self.shared.lock().expect("cache handle poisoned").clone();
         cache.save(path).map(Some)
     }
+}
+
+/// Restores a persisted cache from `path` when one is configured, counting a
+/// reload or a quarantine; without a path the cache starts cold and there
+/// is no load status.
+fn restore<T: Default>(
+    counters: &Counters,
+    path: Option<&Path>,
+    load: impl FnOnce(&Path) -> (T, CacheLoadStatus),
+) -> (T, Option<CacheLoadStatus>) {
+    let Some(path) = path else {
+        return (T::default(), None);
+    };
+    let (cache, status) = load(path);
+    match &status {
+        CacheLoadStatus::Loaded { .. } => {
+            counters.cache_reloads.fetch_add(1, Ordering::Relaxed);
+        }
+        CacheLoadStatus::Quarantined { .. } => {
+            counters.cache_quarantines.fetch_add(1, Ordering::Relaxed);
+        }
+        CacheLoadStatus::Missing => {}
+    }
+    (cache, Some(status))
 }
 
 /// Runs one simulation request start to finish. Unknown ports surface as
@@ -862,7 +802,7 @@ fn record_first_failure(counters: &Counters, error: &CheckError) {
 mod tests {
     use super::*;
     use lilac_ast::{Cmd, Constraint};
-    use lilac_core::check_program_with;
+    use lilac_core::{check_program_incremental, check_program_with};
     use lilac_designs::Design;
     use lilac_util::Span;
 
@@ -1077,6 +1017,34 @@ mod tests {
         let replayed = warm.verdict.expect("replay stays clean");
         assert!(replayed.equivalent(baseline.verdict.as_ref().unwrap()));
         assert_eq!(replayed.total_elapsed(), Duration::ZERO, "hits do no checking work");
+    }
+
+    /// A replay did no checking work, so on both incremental paths it
+    /// reports zero time and zero solver effort, whatever the cold check
+    /// spent.
+    #[test]
+    fn replayed_reports_carry_no_time_or_solver_effort() {
+        let program = Design::Fpu.program().expect("FPU parses");
+        let effortless = |report: &CheckReport| {
+            report.components.iter().all(|c| {
+                c.elapsed == Duration::ZERO
+                    && c.solver_stats == lilac_solver::SolverStats::default()
+            })
+        };
+        let options = CheckOptions::default();
+        let mut prior = PriorReports::new();
+        let cold = check_program_incremental(&program, &options, &mut prior).expect("FPU checks");
+        assert!(cold.report.solver_stats().queries > 0, "the cold check does solver work");
+        let warm = check_program_incremental(&program, &options, &mut prior).expect("FPU checks");
+        assert_eq!(warm.misses, 0);
+        assert!(effortless(&warm.report), "core replays must report no effort");
+
+        let service = CheckService::new(quiet_config(2));
+        let cold = service.check_incremental(&program).verdict.expect("FPU checks");
+        assert!(cold.solver_stats().queries > 0, "the cold check does solver work");
+        let warm = service.check_incremental(&program).verdict.expect("FPU checks");
+        assert_eq!(service.stats().report_hits as usize, warm.components.len());
+        assert!(effortless(&warm), "service replays must report no effort");
     }
 
     #[test]

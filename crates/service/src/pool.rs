@@ -1,12 +1,13 @@
 //! A small persistent work-stealing worker pool.
 //!
-//! The per-program checker ([`lilac_core::check_program_with`]) checks a
-//! small program's components on the caller's thread and fans a large
-//! one's out over scoped threads spawned and joined inside the call — the
-//! right shape for a one-shot CLI, but a long-lived service checking a
-//! stream of programs wants to overlap component work within and across
-//! requests without paying thread startup per request. This pool keeps its workers
-//! alive for the service's lifetime: each worker owns a deque, submissions
+//! The one-shot checker ([`lilac_core::check_program_with`] and
+//! [`lilac_core::check_program_incremental`], one path in `lilac-core`)
+//! checks a few components on the caller's thread and fans many out over
+//! scoped threads spawned and joined inside the call — the right shape for
+//! a one-shot CLI, but a long-lived service checking a stream of programs
+//! wants to overlap component work within and across requests without
+//! paying thread startup per request. This pool keeps its workers alive for
+//! the service's lifetime: each worker owns a deque, submissions
 //! are spread round-robin, and an idle worker steals from the *back* of a
 //! sibling's deque (the classic Chase–Lev discipline, here with plain
 //! mutexed deques since the container image has no atomics-heavy deque

@@ -3,7 +3,7 @@
 //! The paper validates its designs by simulating the Verilog produced by the
 //! Lilac compiler. This crate provides the equivalent capability for the
 //! reproduction: a two-phase, cycle-accurate interpreter over
-//! [`Netlist`](lilac_ir::Netlist)s. Each cycle, combinational nodes are
+//! [`Netlist`]s. Each cycle, combinational nodes are
 //! evaluated in topological order using the *current* state of sequential
 //! nodes, and then every sequential node (registers, delay lines, pipelined
 //! cores) captures its next state.

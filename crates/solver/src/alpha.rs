@@ -5,13 +5,13 @@
 //! loops, instances, or components differ only by a renaming of symbols. A
 //! cache keyed on exact predicates misses all of them. This module provides
 //!
-//! * [`alpha_hash`] — a hash of a `(facts, goal)` query that is invariant
+//! * [`query_hash`] — a hash of a `(facts, goal)` query that is invariant
 //!   under injective renaming of symbols: each symbol hashes as its
 //!   first-occurrence index over the walk, not as its name;
-//! * [`alpha_match`] — a simultaneous structural walk of a query against a
+//! * `alpha_match` — a simultaneous structural walk of a query against a
 //!   stored representative that either fails or produces the symbol
 //!   bijection between them;
-//! * [`rename_model`] / [`rename_outcome`] — transport of a representative's
+//! * `rename_model` / `rename_outcome` — transport of a representative's
 //!   [`Outcome`] along that bijection, so a cached `Disproved` model is
 //!   expressed in the querying obligation's own symbols.
 //!
@@ -61,7 +61,7 @@ impl Indexer {
 /// Hashes one predicate with fact-local first-occurrence symbol indexing.
 /// Used to precompute a renaming-invariant hash per interned fact; combining
 /// per-fact hashes loses cross-fact symbol correlations (slightly more hash
-/// collisions), but [`alpha_match`] verifies candidates exactly, so this
+/// collisions), but `alpha_match` verifies candidates exactly, so this
 /// only trades a rare extra walk for never re-hashing fact bodies.
 ///
 /// The hash is independent of the interner: uninterpreted symbols hash as

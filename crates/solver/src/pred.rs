@@ -1,6 +1,6 @@
 //! Predicates over linear expressions.
 //!
-//! A [`Pred`] is the boolean layer above [`LinExpr`](crate::LinExpr):
+//! A [`Pred`] is the boolean layer above [`LinExpr`]:
 //! comparisons combined with conjunction, disjunction, and negation. The
 //! solver works on literals of the form `e <= 0` and `e == 0`, so this module
 //! also provides negation-normal-form and disjunctive-normal-form

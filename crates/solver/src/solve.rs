@@ -139,8 +139,8 @@ pub struct SolverConfig {
     /// Maximum number of assignments tried during counterexample search.
     pub max_enum_assignments: usize,
     /// Restrict each query to the facts transitively connected to the goal
-    /// (see [`crate::slice`]); the disconnected residue is only consulted
-    /// through a cached consistency check.
+    /// (see the private `slice` module); the disconnected residue is only
+    /// consulted through a cached consistency check.
     pub slicing: bool,
     /// Memoize query outcomes on a canonical (sorted sliced facts, goal) key.
     pub caching: bool,

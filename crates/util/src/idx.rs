@@ -2,13 +2,14 @@
 //!
 //! Compiler IRs in this workspace use arena-style storage: nodes live in
 //! `Vec`s and refer to each other with small integer indices. The
-//! [`define_index!`] macro creates a distinct newtype per IR entity so that,
+//! [`define_index!`](crate::define_index) macro creates a distinct newtype per IR entity so that,
 //! e.g., an instance id cannot be confused with an invocation id, and
 //! [`IndexVec`] provides a vector indexed by such a newtype.
 
 use std::marker::PhantomData;
 
-/// Trait implemented by index newtypes created with [`define_index!`].
+/// Trait implemented by index newtypes created with
+/// [`define_index!`](crate::define_index).
 pub trait Idx: Copy + Eq + std::hash::Hash + std::fmt::Debug {
     /// Creates an index from a raw `usize`.
     fn from_usize(i: usize) -> Self;
