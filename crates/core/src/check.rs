@@ -410,11 +410,8 @@ struct WriteRecord {
     key: WriteKey,
     /// Element indices for bundle writes (empty for scalar targets).
     indices: Vec<LinExpr>,
-    /// O(1) snapshot of the solver scope in effect at the write.
-    facts: FactMark,
-    /// Eagerly cloned fact vector, populated only in the
-    /// non-indexed-scopes (baseline) mode.
-    eager_facts: Option<Vec<Pred>>,
+    /// The solver scope in effect at the write.
+    scope: RecordedScope,
     /// Solver names of the loop variables enclosing the write.
     loop_vars: Vec<Symbol>,
     span: Span,
@@ -426,13 +423,29 @@ struct InvokeRecord {
     time: LinExpr,
     /// Initiation interval (delay) of the callee, lowered.
     callee_delay: LinExpr,
-    /// O(1) snapshot of the solver scope in effect at the invocation.
-    facts: FactMark,
-    /// Eagerly cloned fact vector, populated only in the
-    /// non-indexed-scopes (baseline) mode.
-    eager_facts: Option<Vec<Pred>>,
+    /// The solver scope in effect at the invocation.
+    scope: RecordedScope,
     loop_vars: Vec<Symbol>,
     span: Span,
+}
+
+/// A solver scope recorded at a write or invocation.
+#[derive(Clone, Debug)]
+struct RecordedScope {
+    /// O(1) snapshot of the scope.
+    mark: FactMark,
+    /// Eagerly cloned fact vector, populated only in the
+    /// non-indexed-scopes (baseline) mode.
+    eager: Option<Vec<Pred>>,
+}
+
+/// What a pairwise obligation adds to its first record's scope.
+enum PairFacts<'r> {
+    /// The second record's scope as recorded. The indexed path joins it by
+    /// fact id; the baseline replays its eager clone.
+    Scope(&'r RecordedScope),
+    /// Materialized facts: the second record's, with loop variables renamed.
+    Facts(Vec<Pred>),
 }
 
 struct Checker<'a> {
@@ -532,10 +545,6 @@ impl<'a> Checker<'a> {
         LowerEnv { lib: self.lib, instances: &self.instances, subst: &self.subst }
     }
 
-    fn own_events(&self) -> HashMap<Symbol, LinExpr> {
-        self.own_events.clone()
-    }
-
     fn assume_signature_facts(&mut self) {
         // Parameters of a hardware design are naturals.
         for p in &self.sig.params {
@@ -579,14 +588,13 @@ impl<'a> Checker<'a> {
 
     fn check_signature_timing(&mut self) {
         let sig: &'a Signature = self.sig;
-        let events = self.own_events();
         let delays: HashMap<Symbol, &lilac_ast::ParamExpr> =
             sig.events.iter().map(|e| (e.name.name, &e.delay)).collect();
         for port in &sig.inputs {
             if let PortType::Interface { .. } = port.ty {
                 continue;
             }
-            let Some((start, end)) = self.lower_interval(&port.liveness, &events) else {
+            let Some((start, end)) = self.lower_interval(&port.liveness) else {
                 continue;
             };
             // Intervals must be well formed.
@@ -615,7 +623,7 @@ impl<'a> Checker<'a> {
             }
         }
         for port in &sig.outputs {
-            let Some((start, end)) = self.lower_interval(&port.liveness, &events) else {
+            let Some((start, end)) = self.lower_interval(&port.liveness) else {
                 continue;
             };
             self.prove(
@@ -799,10 +807,9 @@ impl<'a> Checker<'a> {
             );
             return;
         }
-        let own_events = self.own_events();
         let mut sched_map = HashMap::new();
         for (decl, time) in callee.events.iter().zip(schedule.iter()) {
-            match lower_time(time, &own_events, &self.env()) {
+            match lower_time(time, &self.own_events, &self.env()) {
                 Ok(lowered) => {
                     self.assume_all(lowered.facts);
                     self.prove_obligations(lowered.obligations);
@@ -955,8 +962,7 @@ impl<'a> Checker<'a> {
             self.writes.push(WriteRecord {
                 key: WriteKey::InvocationInput(inv.uid, port.name.name),
                 indices: Vec::new(),
-                facts: self.solver.mark(),
-                eager_facts: self.eager_snapshot(),
+                scope: self.record_scope(),
                 loop_vars: self.loop_vars.clone(),
                 span,
             });
@@ -977,8 +983,7 @@ impl<'a> Checker<'a> {
         let record = InvokeRecord {
             time,
             callee_delay: delay_l,
-            facts: self.solver.mark(),
-            eager_facts: self.eager_snapshot(),
+            scope: self.record_scope(),
             loop_vars: self.loop_vars.clone(),
             span,
         };
@@ -997,8 +1002,7 @@ impl<'a> Checker<'a> {
         self.writes.push(WriteRecord {
             key,
             indices,
-            facts: self.solver.mark(),
-            eager_facts: self.eager_snapshot(),
+            scope: self.record_scope(),
             loop_vars: self.loop_vars.clone(),
             span,
         });
@@ -1050,8 +1054,7 @@ impl<'a> Checker<'a> {
                         );
                         return None;
                     }
-                    let events = self.own_events();
-                    return self.lower_interval(&port.liveness, &events).map(Some);
+                    return self.lower_interval(&port.liveness).map(Some);
                 }
                 // Bundle read without an index?
                 if self.bundles.contains_key(&name.name) {
@@ -1122,8 +1125,7 @@ impl<'a> Checker<'a> {
                     if let Some(port) = self.sig.input(bundle_name.name) {
                         if !port.dims.is_empty() {
                             let port = port.clone();
-                            let events = self.own_events();
-                            return self.lower_interval(&port.liveness, &events).map(Some);
+                            return self.lower_interval(&port.liveness).map(Some);
                         }
                     }
                 }
@@ -1153,8 +1155,7 @@ impl<'a> Checker<'a> {
             Access::Var(name) => {
                 if let Some(port) = self.sig.output(name.name) {
                     let port = port.clone();
-                    let events = self.own_events();
-                    let interval = self.lower_interval(&port.liveness, &events);
+                    let interval = self.lower_interval(&port.liveness);
                     return Some((WriteKey::OutputPort(name.name), Vec::new(), interval));
                 }
                 if self.bundles.contains_key(&name.name) {
@@ -1205,8 +1206,7 @@ impl<'a> Checker<'a> {
                     if let Some(port) = self.sig.output(bundle_name.name) {
                         if !port.dims.is_empty() {
                             let port = port.clone();
-                            let events = self.own_events();
-                            let interval = self.lower_interval(&port.liveness, &events);
+                            let interval = self.lower_interval(&port.liveness);
                             if let Some(dim) = port.dims.first() {
                                 if let Ok(dim_l) = lower_param_expr(dim, &self.env()) {
                                     self.assume_all(dim_l.facts.clone());
@@ -1280,8 +1280,7 @@ impl<'a> Checker<'a> {
         if let Some(var) = info.idx_vars.first() {
             saved.push((*var, self.subst.insert(*var, idx)));
         }
-        let events = self.own_events();
-        let interval = self.lower_interval(&info.liveness, &events);
+        let interval = self.lower_interval(&info.liveness);
         for (var, prev) in saved {
             match prev {
                 Some(p) => {
@@ -1354,13 +1353,10 @@ impl<'a> Checker<'a> {
         subst
     }
 
-    fn lower_interval(
-        &mut self,
-        interval: &Interval,
-        events: &HashMap<Symbol, LinExpr>,
-    ) -> Option<(LinExpr, LinExpr)> {
-        let start = lower_time(&interval.start, events, &self.env());
-        let end = lower_time(&interval.end, events, &self.env());
+    /// Lowers an interval over the component's own events.
+    fn lower_interval(&mut self, interval: &Interval) -> Option<(LinExpr, LinExpr)> {
+        let start = lower_time(&interval.start, &self.own_events, &self.env());
+        let end = lower_time(&interval.end, &self.own_events, &self.env());
         match (start, end) {
             (Ok(s), Ok(e)) => {
                 self.assume_all(s.facts);
@@ -1379,7 +1375,7 @@ impl<'a> Checker<'a> {
     // -- whole-body checks ----------------------------------------------------
 
     fn check_write_conflicts(&mut self) {
-        let writes = self.writes.clone();
+        let writes = std::mem::take(&mut self.writes);
         let mut by_key: HashMap<WriteKey, Vec<&WriteRecord>> = HashMap::new();
         for w in &writes {
             by_key.entry(w.key.clone()).or_default().push(w);
@@ -1410,6 +1406,7 @@ impl<'a> Checker<'a> {
                 }
             }
         }
+        self.writes = writes;
     }
 
     /// Loop variables whose iterations get their own copy of the written
@@ -1466,26 +1463,27 @@ impl<'a> Checker<'a> {
             }
             out
         };
-        let rename_pred = |p: &Pred| rename_pred_terms(p, &renames);
 
-        // The combined context is a's recorded scope (shared structurally —
-        // no cloning) extended with b's facts, renamed where the pair
-        // semantics require distinct iterations. In baseline mode the same
-        // facts instead come from the records' eager clones and a throwaway
-        // solver, reproducing the pre-optimization cost profile.
-        let b_facts: Vec<Pred> = match &b.eager_facts {
-            Some(facts) => facts.iter().map(rename_pred).collect(),
-            None => self.solver.facts_at(b.facts).iter().map(rename_pred).collect(),
-        };
-        let mut extra = b_facts;
-        if let Some(distinct_vars) = &self_distinct {
-            // The two iterations must be distinct in at least one loop var.
-            extra.push(Pred::or(
-                distinct_vars
+        // The combined context is a's recorded scope extended with b's
+        // facts, renamed where the pair semantics require distinct
+        // iterations. Unrenamed, b's scope is joined as recorded.
+        let b_facts = match &self_distinct {
+            None if renames.is_empty() => PairFacts::Scope(&b.scope),
+            _ => {
+                let mut extra: Vec<Pred> = self
+                    .scope_facts(&b.scope)
                     .iter()
-                    .map(|lv| Pred::ne(LinExpr::var(lv.as_str()), LinExpr::var(&format!("{lv}'")))),
-            ));
-        }
+                    .map(|p| rename_pred_terms(p, &renames))
+                    .collect();
+                if let Some(distinct_vars) = &self_distinct {
+                    // The two iterations must be distinct in at least one loop var.
+                    extra.push(Pred::or(distinct_vars.iter().map(|lv| {
+                        Pred::ne(LinExpr::var(lv.as_str()), LinExpr::var(&format!("{lv}'")))
+                    })));
+                }
+                PairFacts::Facts(extra)
+            }
+        };
 
         self.obligations += 1;
         let target = describe_write_key(key);
@@ -1497,15 +1495,7 @@ impl<'a> Checker<'a> {
                 let same = Pred::and(
                     idx_a.iter().zip(idx_b.iter()).map(|(x, y)| Pred::eq(x.clone(), y.clone())),
                 );
-                let outcome = if self.indexed_scopes {
-                    self.solver.prove_under(a.facts, &extra, &same.negate())
-                } else {
-                    let mut solver = self.baseline_solver(a.eager_facts.as_deref().unwrap_or(&[]));
-                    for f in &extra {
-                        solver.assume(f.clone());
-                    }
-                    solver.prove(&same.negate())
-                };
+                let outcome = self.prove_pair(&a.scope, b_facts, &same.negate());
                 match outcome {
                     Outcome::Proved => self.proved += 1,
                     Outcome::Disproved(model) => {
@@ -1532,15 +1522,7 @@ impl<'a> Checker<'a> {
             _ => {
                 // Scalar target: the two writes must be mutually exclusive,
                 // i.e. their combined path conditions must be inconsistent.
-                let consistent = if self.indexed_scopes {
-                    self.solver.consistent_under(a.facts, &extra)
-                } else {
-                    let mut solver = self.baseline_solver(a.eager_facts.as_deref().unwrap_or(&[]));
-                    for f in &extra {
-                        solver.assume(f.clone());
-                    }
-                    solver.facts_consistent()
-                };
+                let consistent = self.pair_consistent(&a.scope, b_facts);
                 if consistent {
                     self.reporter.report(
                         Diagnostic::error(format!("{target} is driven more than once"), a.span)
@@ -1560,7 +1542,7 @@ impl<'a> Checker<'a> {
             Ok(l) => l.expr,
             Err(_) => LinExpr::constant(1),
         };
-        let invokes = self.invokes.clone();
+        let invokes = std::mem::take(&mut self.invokes);
         for (instance, records) in invokes {
             // Cross-iteration reuse: an instance declared outside a loop but
             // invoked inside it is the same physical hardware on every
@@ -1585,12 +1567,11 @@ impl<'a> Checker<'a> {
                     }
                     out
                 };
-                let rec_facts: Vec<Pred> = match &rec.eager_facts {
-                    Some(facts) => facts.clone(),
-                    None => self.solver.facts_at(rec.facts),
-                };
-                let mut extras: Vec<Pred> =
-                    rec_facts.iter().map(|f| rename_pred_terms(f, &renames)).collect();
+                let mut extras: Vec<Pred> = self
+                    .scope_facts(&rec.scope)
+                    .iter()
+                    .map(|f| rename_pred_terms(f, &renames))
+                    .collect();
                 extras.push(Pred::or(extra.iter().map(|lv| {
                     Pred::ne(LinExpr::var(lv.as_str()), LinExpr::var(&format!("{lv}'")))
                 })));
@@ -1600,15 +1581,7 @@ impl<'a> Checker<'a> {
                     Pred::le(rec.time.clone() + rec.callee_delay.clone(), other_time.clone()),
                     Pred::le(other_time + rec.callee_delay.clone(), rec.time.clone()),
                 ]);
-                let outcome = if self.indexed_scopes {
-                    self.solver.prove_under(rec.facts, &extras, &apart)
-                } else {
-                    let mut solver = self.baseline_solver(&rec_facts);
-                    for f in &extras {
-                        solver.assume(f.clone());
-                    }
-                    solver.prove(&apart)
-                };
+                let outcome = self.prove_pair(&rec.scope, PairFacts::Facts(extras), &apart);
                 match outcome {
                     Outcome::Proved => self.proved += 1,
                     Outcome::Disproved(model) => self.reporter.report(
@@ -1637,25 +1610,12 @@ impl<'a> Checker<'a> {
                     }
                     let a = &records[i];
                     let b = &records[j];
-                    let extras = match &b.eager_facts {
-                        Some(facts) => facts.clone(),
-                        None => self.solver.facts_at(b.facts),
-                    };
                     self.obligations += 1;
                     let apart = Pred::or([
                         Pred::le(a.time.clone() + a.callee_delay.clone(), b.time.clone()),
                         Pred::le(b.time.clone() + b.callee_delay.clone(), a.time.clone()),
                     ]);
-                    let outcome = if self.indexed_scopes {
-                        self.solver.prove_under(a.facts, &extras, &apart)
-                    } else {
-                        let mut solver =
-                            self.baseline_solver(a.eager_facts.as_deref().unwrap_or(&[]));
-                        for f in &extras {
-                            solver.assume(f.clone());
-                        }
-                        solver.prove(&apart)
-                    };
+                    let outcome = self.prove_pair(&a.scope, PairFacts::Scope(&b.scope), &apart);
                     match outcome {
                         Outcome::Proved => self.proved += 1,
                         Outcome::Disproved(model) => self.reporter.report(
@@ -1682,25 +1642,12 @@ impl<'a> Checker<'a> {
             // delay.
             for a in &records {
                 for b in &records {
-                    let extras = match &b.eager_facts {
-                        Some(facts) => facts.clone(),
-                        None => self.solver.facts_at(b.facts),
-                    };
                     self.obligations += 1;
                     let pred = Pred::le(
                         a.time.clone() + a.callee_delay.clone(),
                         b.time.clone() + own_delay.clone(),
                     );
-                    let outcome = if self.indexed_scopes {
-                        self.solver.prove_under(a.facts, &extras, &pred)
-                    } else {
-                        let mut solver =
-                            self.baseline_solver(a.eager_facts.as_deref().unwrap_or(&[]));
-                        for f in &extras {
-                            solver.assume(f.clone());
-                        }
-                        solver.prove(&pred)
-                    };
+                    let outcome = self.prove_pair(&a.scope, PairFacts::Scope(&b.scope), &pred);
                     match outcome {
                         Outcome::Proved => self.proved += 1,
                         Outcome::Disproved(model) => self.reporter.report(
@@ -1751,22 +1698,57 @@ impl<'a> Checker<'a> {
         }
     }
 
-    /// The baseline mode's eager per-record fact clone (`None` when indexed
-    /// scopes are on and a [`FactMark`] suffices).
-    fn eager_snapshot(&self) -> Option<Vec<Pred>> {
-        if self.indexed_scopes {
-            None
-        } else {
-            Some(self.solver.facts_at(self.solver.mark()))
+    /// Records the current scope: a [`FactMark`], plus the baseline mode's
+    /// eager fact clone (`None` when indexed scopes are on).
+    fn record_scope(&self) -> RecordedScope {
+        let mark = self.solver.mark();
+        let eager = (!self.indexed_scopes).then(|| self.solver.facts_at(mark));
+        RecordedScope { mark, eager }
+    }
+
+    /// The facts of a recorded scope, materialized for renaming.
+    fn scope_facts(&self, scope: &RecordedScope) -> Vec<Pred> {
+        match &scope.eager {
+            Some(facts) => facts.clone(),
+            None => self.solver.facts_at(scope.mark),
         }
     }
 
-    /// A throwaway solver pre-seeded with `facts`, as the baseline conflict
-    /// path used before indexed scopes.
-    fn baseline_solver(&self, facts: &[Pred]) -> Solver {
+    /// Proves `goal` under scope `a` extended with `b`. Indexed scopes share
+    /// `a` structurally and join an unrenamed `b` by fact id; the baseline
+    /// replays the eager clones into a throwaway solver.
+    fn prove_pair(&mut self, a: &RecordedScope, b: PairFacts<'_>, goal: &Pred) -> Outcome {
+        if !self.indexed_scopes {
+            return self.baseline_solver(a, b).prove(goal);
+        }
+        match b {
+            PairFacts::Scope(b) => self.solver.prove_under_join(a.mark, b.mark, goal),
+            PairFacts::Facts(extra) => self.solver.prove_under(a.mark, &extra, goal),
+        }
+    }
+
+    /// Whether scope `a` extended with `b` is consistent (see
+    /// [`Checker::prove_pair`]).
+    fn pair_consistent(&mut self, a: &RecordedScope, b: PairFacts<'_>) -> bool {
+        if !self.indexed_scopes {
+            return self.baseline_solver(a, b).facts_consistent();
+        }
+        match b {
+            PairFacts::Scope(b) => self.solver.consistent_under_join(a.mark, b.mark),
+            PairFacts::Facts(extra) => self.solver.consistent_under(a.mark, &extra),
+        }
+    }
+
+    /// A throwaway solver seeded with `a`'s and then `b`'s eager facts, as
+    /// the baseline pair path used before indexed scopes.
+    fn baseline_solver(&self, a: &RecordedScope, b: PairFacts<'_>) -> Solver {
         let mut solver = Solver::with_config(self.solver_config.clone());
-        for f in facts {
-            solver.assume(f.clone());
+        let b_facts = match b {
+            PairFacts::Scope(b) => self.scope_facts(b),
+            PairFacts::Facts(extra) => extra,
+        };
+        for f in self.scope_facts(a).into_iter().chain(b_facts) {
+            solver.assume(f);
         }
         solver
     }

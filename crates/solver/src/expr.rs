@@ -9,7 +9,7 @@
 //! `exp2` built-ins.
 
 use lilac_util::intern::Symbol;
-use std::collections::BTreeMap;
+use std::cmp::Ordering;
 use std::fmt;
 use std::ops::{Add, Mul, Neg, Sub};
 
@@ -85,12 +85,18 @@ impl fmt::Display for Term {
 /// form. Construction automatically merges like terms and drops zero
 /// coefficients, so two expressions are structurally equal exactly when they
 /// are syntactically identical affine forms.
+///
+/// The terms are a flat vector sorted by [`Term`]. The derived `Ord`, `Eq`
+/// and `Hash` therefore agree with those of `(constant, BTreeMap<Term, i64>)`
+/// — same order, same equality, same hash byte stream — which fact sorting,
+/// cache keys and the persisted cache image rely on.
 #[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Default)]
 pub struct LinExpr {
-    /// Constant offset.
+    /// Constant offset. Must stay the first field (see above).
     constant: i64,
-    /// Map from term to (non-zero) coefficient.
-    terms: BTreeMap<Term, i64>,
+    /// `(term, coefficient)` pairs: strictly sorted by term, no zero
+    /// coefficients.
+    terms: Vec<(Term, i64)>,
 }
 
 impl LinExpr {
@@ -101,7 +107,7 @@ impl LinExpr {
 
     /// A constant expression.
     pub fn constant(value: i64) -> LinExpr {
-        LinExpr { constant: value, terms: BTreeMap::new() }
+        LinExpr { constant: value, terms: Vec::new() }
     }
 
     /// A single variable with coefficient one.
@@ -111,10 +117,7 @@ impl LinExpr {
 
     /// A single term with the given coefficient.
     pub fn from_term(term: Term, coeff: i64) -> LinExpr {
-        let mut terms = BTreeMap::new();
-        if coeff != 0 {
-            terms.insert(term, coeff);
-        }
+        let terms = if coeff == 0 { Vec::new() } else { vec![(term, coeff)] };
         LinExpr { constant: 0, terms }
     }
 
@@ -125,7 +128,7 @@ impl LinExpr {
 
     /// Iterates over `(term, coefficient)` pairs.
     pub fn terms(&self) -> impl Iterator<Item = (&Term, i64)> {
-        self.terms.iter().map(|(t, &c)| (t, c))
+        self.terms.iter().map(|(t, c)| (t, *c))
     }
 
     /// Number of distinct terms.
@@ -144,13 +147,10 @@ impl LinExpr {
 
     /// Returns `Some(term)` if the expression is exactly `1·term + 0`.
     pub fn as_single_term(&self) -> Option<&Term> {
-        if self.constant == 0 && self.terms.len() == 1 {
-            let (t, &c) = self.terms.iter().next().unwrap();
-            if c == 1 {
-                return Some(t);
-            }
+        match self.terms.as_slice() {
+            [(t, 1)] if self.constant == 0 => Some(t),
+            _ => None,
         }
-        None
     }
 
     /// Adds `coeff * term` to the expression.
@@ -158,17 +158,15 @@ impl LinExpr {
         if coeff == 0 {
             return;
         }
-        let entry = self.terms.entry(term).or_insert(0);
-        *entry += coeff;
-        if *entry == 0 {
-            // Remove cancelled terms to keep structural equality meaningful.
-            let key = self
-                .terms
-                .iter()
-                .find(|(_, &c)| c == 0)
-                .map(|(t, _)| t.clone())
-                .expect("zero entry exists");
-            self.terms.remove(&key);
+        match self.terms.binary_search_by(|(t, _)| t.cmp(&term)) {
+            Ok(i) => {
+                self.terms[i].1 += coeff;
+                if self.terms[i].1 == 0 {
+                    // Remove cancelled terms to keep structural equality meaningful.
+                    self.terms.remove(i);
+                }
+            }
+            Err(i) => self.terms.insert(i, (term, coeff)),
         }
     }
 
@@ -274,7 +272,7 @@ impl LinExpr {
     /// occurrences nested in application arguments) and returns the result.
     pub fn substitute(&self, target: &Term, replacement: &LinExpr) -> LinExpr {
         let mut out = LinExpr::constant(self.constant);
-        for (t, &c) in self.terms.iter() {
+        for (t, c) in self.terms() {
             if t == target {
                 out = out + replacement.scaled(c);
                 continue;
@@ -307,12 +305,33 @@ fn ceil_log2(v: u64) -> u32 {
 impl Add for LinExpr {
     type Output = LinExpr;
     fn add(self, rhs: LinExpr) -> LinExpr {
-        let mut out = self;
-        out.constant += rhs.constant;
-        for (t, c) in rhs.terms {
-            out.add_term(t, c);
+        let constant = self.constant + rhs.constant;
+        if rhs.terms.is_empty() {
+            return LinExpr { constant, terms: self.terms };
         }
-        out
+        if self.terms.is_empty() {
+            return LinExpr { constant, terms: rhs.terms };
+        }
+        // One-pass merge of the two sorted term lists.
+        let mut terms = Vec::with_capacity(self.terms.len() + rhs.terms.len());
+        let mut left = self.terms.into_iter().peekable();
+        let mut right = rhs.terms.into_iter().peekable();
+        while let (Some((a, _)), Some((b, _))) = (left.peek(), right.peek()) {
+            match a.cmp(b) {
+                Ordering::Less => terms.push(left.next().expect("peeked")),
+                Ordering::Greater => terms.push(right.next().expect("peeked")),
+                Ordering::Equal => {
+                    let (t, x) = left.next().expect("peeked");
+                    let (_, y) = right.next().expect("peeked");
+                    if x + y != 0 {
+                        terms.push((t, x + y));
+                    }
+                }
+            }
+        }
+        terms.extend(left);
+        terms.extend(right);
+        LinExpr { constant, terms }
     }
 }
 
@@ -387,6 +406,7 @@ impl fmt::Display for LinExpr {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeMap;
 
     #[test]
     fn arithmetic_normalizes() {
@@ -467,6 +487,89 @@ mod tests {
         let mut ts = Vec::new();
         app.collect_terms(&mut ts);
         assert_eq!(ts.len(), 3);
+    }
+
+    /// Builds a random expression through the public constructors, with a
+    /// small atom pool so that like terms merge and cancel often.
+    fn random_expr(rng: &mut lilac_util::rng::Rng, depth: u32) -> LinExpr {
+        let mut e = LinExpr::constant(rng.range_i64(-3, 3));
+        for _ in 0..rng.index(6) {
+            let t = random_term(rng, depth);
+            let c = rng.range_i64(-2, 2);
+            match rng.index(6) {
+                0 => e.add_term(t, c),
+                1 => e = e + LinExpr::from_term(t, c),
+                2 => e = e - LinExpr::from_term(t, c),
+                3 => e = e.scaled(rng.range_i64(-2, 2)) + LinExpr::from_term(t, c),
+                4 => {
+                    let replacement = random_expr(rng, depth.saturating_sub(1));
+                    e = e.substitute(&t, &replacement);
+                }
+                _ => {
+                    // Adding and removing a whole expression cancels every
+                    // one of its terms.
+                    let other = random_expr(rng, depth.saturating_sub(1));
+                    let before = e.clone();
+                    e = e + other.clone() - other;
+                    assert_eq!(e, before);
+                }
+            }
+        }
+        e
+    }
+
+    fn random_term(rng: &mut lilac_util::rng::Rng, depth: u32) -> Term {
+        if depth == 0 || rng.chance(2, 3) {
+            Term::var(["A", "B", "C", "D"][rng.index(4)])
+        } else {
+            let args = (0..1 + rng.index(2)).map(|_| random_expr(rng, depth - 1)).collect();
+            Term::app(["F", "G"][rng.index(2)], args)
+        }
+    }
+
+    /// The representation `LinExpr` used to have: a constant and an ordered
+    /// map from term to coefficient.
+    fn as_map(e: &LinExpr) -> (i64, BTreeMap<Term, i64>) {
+        (e.constant_part(), e.terms().map(|(t, c)| (t.clone(), c)).collect())
+    }
+
+    fn hash_of<T: std::hash::Hash>(value: &T) -> u64 {
+        let mut state = std::collections::hash_map::DefaultHasher::new();
+        value.hash(&mut state);
+        std::hash::Hasher::finish(&state)
+    }
+
+    /// Terms strictly sorted, no zero coefficients, at every nesting level.
+    fn assert_canonical(e: &LinExpr) {
+        let terms: Vec<(&Term, i64)> = e.terms().collect();
+        assert!(terms.windows(2).all(|w| w[0].0 < w[1].0), "unsorted terms in {e}");
+        for (t, c) in terms {
+            assert_ne!(c, 0, "zero coefficient in {e}");
+            if let Term::App { args, .. } = t {
+                args.iter().for_each(assert_canonical);
+            }
+        }
+    }
+
+    #[test]
+    fn flat_terms_order_and_hash_like_an_ordered_map() {
+        let mut rng = lilac_util::rng::Rng::new(0x11ac);
+        let exprs: Vec<LinExpr> = (0..300).map(|_| random_expr(&mut rng, 2)).collect();
+        for a in &exprs {
+            assert_canonical(a);
+            assert_eq!(hash_of(a), hash_of(&as_map(a)), "hash differs for {a}");
+        }
+        let mut equal_pairs = 0;
+        for a in &exprs {
+            for b in &exprs {
+                assert_eq!(a.cmp(b), as_map(a).cmp(&as_map(b)), "order differs: {a} vs {b}");
+                assert_eq!(a == b, as_map(a) == as_map(b), "equality differs: {a} vs {b}");
+                equal_pairs += usize::from(a == b);
+            }
+        }
+        // Distinct generated expressions that compare equal exercise the
+        // merge and cancellation paths, not only identity.
+        assert!(equal_pairs > exprs.len(), "only {equal_pairs} equal pairs");
     }
 
     #[test]

@@ -28,25 +28,23 @@
 
 use crate::expr::Term;
 use crate::pred::Pred;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
 
-/// Collects every atom (top-level and nested term) a predicate mentions.
-/// Used once per unique fact at interning time, and once per query for the
-/// goal.
-pub(crate) fn atoms_of(pred: &Pred) -> BTreeSet<Term> {
-    let mut atoms = BTreeSet::new();
+/// Every atom (top-level and nested term) a predicate mentions, sorted and
+/// deduplicated, borrowed from the predicate. Used once per unique fact at
+/// interning time, and once per query for the goal.
+pub(crate) fn atoms_of(pred: &Pred) -> Vec<&Term> {
+    let mut atoms = Vec::new();
     collect(pred, &mut atoms);
+    atoms.sort_unstable();
+    atoms.dedup();
     atoms
 }
 
-fn collect(pred: &Pred, out: &mut BTreeSet<Term>) {
+fn collect<'p>(pred: &'p Pred, out: &mut Vec<&'p Term>) {
     match pred {
         Pred::True | Pred::False => {}
-        Pred::Le(e) | Pred::Eq(e) => {
-            let mut terms = Vec::new();
-            e.collect_terms(&mut terms);
-            out.extend(terms);
-        }
+        Pred::Le(e) | Pred::Eq(e) => e.for_each_term(&mut |t| out.push(t)),
         Pred::Not(inner) => collect(inner, out),
         Pred::And(ps) | Pred::Or(ps) => {
             for p in ps {
@@ -204,9 +202,9 @@ mod tests {
             LinExpr::from_term(Term::app("Max::#O", vec![LinExpr::var("A"), LinExpr::var("B")]), 1);
         let goal = Pred::ge(app, LinExpr::var("C"));
         let set = atoms_of(&goal);
-        assert!(set.contains(&Term::var("A")));
-        assert!(set.contains(&Term::var("B")));
-        assert!(set.contains(&Term::var("C")));
+        assert!(set.contains(&&Term::var("A")));
+        assert!(set.contains(&&Term::var("B")));
+        assert!(set.contains(&&Term::var("C")));
         assert_eq!(set.len(), 4); // plus the application itself
     }
 

@@ -286,9 +286,13 @@ struct FactLog {
 }
 
 impl FactLog {
-    fn intern_atom(&mut self, term: Term) -> u32 {
-        let next = self.atom_ids.len() as u32;
-        *self.atom_ids.entry(term).or_insert(next)
+    fn intern_atom(&mut self, term: &Term) -> u32 {
+        if let Some(&id) = self.atom_ids.get(term) {
+            return id;
+        }
+        let id = self.atom_ids.len() as u32;
+        self.atom_ids.insert(term.clone(), id);
+        id
     }
 
     fn intern_fact(&mut self, pred: Pred) -> u32 {
@@ -522,7 +526,7 @@ impl Solver {
 
     /// Attempts to prove `goal` from the facts in the current scope.
     pub fn prove(&mut self, goal: &Pred) -> Outcome {
-        self.prove_at(self.facts.head, goal)
+        self.prove_ids(self.facts.chain_from(self.facts.head), goal)
     }
 
     /// Attempts to prove `goal` from the scope recorded by `mark`, extended
@@ -531,31 +535,31 @@ impl Solver {
     /// solvers: the base facts are shared structurally and only `extra` is
     /// materialized.
     pub fn prove_under(&mut self, mark: FactMark, extra: &[Pred], goal: &Pred) -> Outcome {
-        let saved_head = self.facts.head;
-        let saved_len = self.facts.nodes.len();
-        self.facts.head = mark.0;
-        for f in extra {
-            self.assume(f.clone());
-        }
-        let outcome = self.prove_at(self.facts.head, goal);
-        self.facts.nodes.truncate(saved_len);
-        self.facts.head = saved_head;
-        outcome
+        let ids = self.ids_under(mark, extra);
+        self.prove_ids(ids, goal)
+    }
+
+    /// Attempts to prove `goal` from the union of the scopes recorded by `a`
+    /// and `b`. The same answer and statistics as
+    /// `prove_under(a, &facts_at(b), goal)`, without cloning or re-interning
+    /// `b`'s facts: the scopes are joined by fact id.
+    pub fn prove_under_join(&mut self, a: FactMark, b: FactMark, goal: &Pred) -> Outcome {
+        let ids = self.ids_joined(a, b);
+        self.prove_ids(ids, goal)
     }
 
     /// Like [`Solver::facts_consistent`], but for the scope recorded by
     /// `mark` extended with `extra` facts.
     pub fn consistent_under(&mut self, mark: FactMark, extra: &[Pred]) -> bool {
-        let saved_head = self.facts.head;
-        let saved_len = self.facts.nodes.len();
-        self.facts.head = mark.0;
-        for f in extra {
-            self.assume(f.clone());
-        }
-        let consistent = self.facts_consistent();
-        self.facts.nodes.truncate(saved_len);
-        self.facts.head = saved_head;
-        consistent
+        let ids = self.ids_under(mark, extra);
+        self.ids_consistent(ids)
+    }
+
+    /// Like [`Solver::consistent_under`] with `extra = facts_at(b)`, joining
+    /// the two scopes by fact id (see [`Solver::prove_under_join`]).
+    pub fn consistent_under_join(&mut self, a: FactMark, b: FactMark) -> bool {
+        let ids = self.ids_joined(a, b);
+        self.ids_consistent(ids)
     }
 
     /// The facts recorded at `mark`, oldest first (cloned).
@@ -563,12 +567,32 @@ impl Solver {
         self.facts.chain_from(mark.0).into_iter().map(|id| self.facts.pred(id).clone()).collect()
     }
 
-    fn prove_at(&mut self, head: Option<u32>, goal: &Pred) -> Outcome {
+    /// Fact ids of the scope at `mark` followed by `extra`, interned (the
+    /// facts [`Solver::assume`] would push there).
+    fn ids_under(&mut self, mark: FactMark, extra: &[Pred]) -> Vec<u32> {
+        let mut ids = self.facts.chain_from(mark.0);
+        for f in extra {
+            if *f != Pred::True {
+                ids.push(self.facts.intern_fact(f.clone()));
+            }
+        }
+        ids
+    }
+
+    /// Fact ids of the scope at `a` followed by those of the scope at `b`.
+    fn ids_joined(&self, a: FactMark, b: FactMark) -> Vec<u32> {
+        let mut ids = self.facts.chain_from(a.0);
+        ids.extend(self.facts.chain_from(b.0));
+        ids
+    }
+
+    /// Decides `goal` from the facts `fact_ids` (in any order, possibly
+    /// repeated): slicing, the tiered cached decision and residual rescue.
+    fn prove_ids(&mut self, mut chain: Vec<u32>, goal: &Pred) -> Outcome {
         if let Some(budget) = &self.config.budget {
             budget.charge();
         }
         self.stats.queries += 1;
-        let mut chain = self.facts.chain_from(head);
         chain.sort_unstable();
         chain.dedup();
 
@@ -579,7 +603,7 @@ impl Solver {
             let facts = &self.facts;
             let mask = &mut self.scratch_mask;
             let goal_atoms: Vec<u32> = slice::atoms_of(goal)
-                .iter()
+                .into_iter()
                 .filter_map(|t| facts.atom_ids.get(t).copied())
                 .collect();
             let atom_sets: Vec<&[u32]> =
@@ -795,7 +819,7 @@ impl Solver {
                 self.stats.cubes += 1;
                 let mut cube = base.clone();
                 cube.extend(goal_cube);
-                match self.cube_sat(&cube, true) {
+                match self.cube_sat(cube, true) {
                     SatResult::Unsat => continue,
                     SatResult::Sat(model) => return Outcome::Disproved(model),
                     SatResult::Unknown => any_unknown = true,
@@ -819,7 +843,12 @@ impl Solver {
     /// Returns `false` only when the facts are definitely contradictory;
     /// inconclusive answers are treated as consistent.
     pub fn facts_consistent(&mut self) -> bool {
-        let mut ids = self.facts.chain_from(self.facts.head);
+        self.ids_consistent(self.facts.chain_from(self.facts.head))
+    }
+
+    /// True unless the facts `ids` (in any order, possibly repeated) are
+    /// definitely contradictory.
+    fn ids_consistent(&mut self, mut ids: Vec<u32>) -> bool {
         ids.sort_unstable();
         ids.dedup();
         !self.set_inconsistent(ids)
@@ -933,7 +962,7 @@ impl Solver {
         let mut any_unknown = false;
         for cube in cubes {
             self.stats.cubes += 1;
-            match self.cube_sat(&cube, want_model) {
+            match self.cube_sat(cube, want_model) {
                 SatResult::Unsat => continue,
                 SatResult::Sat(m) => return SatResult::Sat(m),
                 SatResult::Unknown => any_unknown = true,
@@ -947,12 +976,11 @@ impl Solver {
     }
 
     /// Satisfiability of a conjunction of `Le`/`Eq` literals.
-    fn cube_sat(&mut self, cube: &[Pred], want_model: bool) -> SatResult {
+    fn cube_sat(&mut self, mut cube: Vec<Pred>, want_model: bool) -> SatResult {
         // 0. Canonicalize: sort and deduplicate the literals. Duplicate
         // facts reach a cube through nested scopes and repeated obligations;
         // every literal removed here is one less operand for all eight
         // saturation rounds.
-        let mut cube: Vec<Pred> = cube.to_vec();
         cube.sort();
         cube.dedup();
         let cube = &cube[..];
@@ -1653,6 +1681,71 @@ mod tests {
             Outcome::Proved
         );
         assert_eq!(s.facts_len(), 1);
+    }
+
+    #[test]
+    fn scope_join_matches_materialized_facts() {
+        // Scopes that share a prefix, nest, diverge and contradict each
+        // other, plus the empty scope.
+        let mut s = Solver::new();
+        let empty = s.mark();
+        s.assume(Pred::ge(var("W"), LinExpr::constant(1)));
+        let root = s.mark();
+        s.assume(Pred::ge(var("A"), var("W")));
+        let a1 = s.mark();
+        s.assume(Pred::le(var("A"), LinExpr::constant(3)));
+        let a2 = s.mark();
+        s.reset_to(root);
+        s.assume(Pred::ge(var("B"), var("A") + LinExpr::constant(2)));
+        let b1 = s.mark();
+        s.assume(Pred::or([
+            Pred::eq(var("B"), LinExpr::constant(4)),
+            Pred::eq(var("B"), var("W") * 2),
+        ]));
+        let b2 = s.mark();
+        s.reset_to(root);
+        s.assume(Pred::ge(var("A"), LinExpr::constant(5)));
+        let c1 = s.mark();
+        s.reset_to(root);
+        let marks = [empty, root, a1, a2, b1, b2, c1];
+        let goals = [
+            Pred::ge(var("A"), LinExpr::constant(1)),
+            Pred::ge(var("B"), LinExpr::constant(3)),
+            Pred::eq(var("A"), var("B")),
+            Pred::le(var("W"), LinExpr::constant(10)),
+            Pred::or([Pred::le(var("B"), var("A")), Pred::ge(var("B"), var("W"))]),
+        ];
+
+        // Two copies run the same query sequence, one joining scopes by fact
+        // id and one re-assuming the materialized facts: every outcome and
+        // every running statistic must agree.
+        let mut joined = s.clone();
+        let mut materialized = s;
+        for &a in &marks {
+            for &b in &marks {
+                for goal in &goals {
+                    let extra = materialized.facts_at(b);
+                    assert_eq!(
+                        joined.prove_under_join(a, b, goal),
+                        materialized.prove_under(a, &extra, goal),
+                        "{a:?} joined with {b:?} proving {goal:?}"
+                    );
+                    assert_eq!(joined.stats(), materialized.stats());
+                }
+                let extra = materialized.facts_at(b);
+                assert_eq!(
+                    joined.consistent_under_join(a, b),
+                    materialized.consistent_under(a, &extra),
+                    "{a:?} joined with {b:?}"
+                );
+                assert_eq!(joined.stats(), materialized.stats());
+            }
+        }
+        // Contradictory joins are detected, and the current scope is intact.
+        assert!(!joined.consistent_under_join(a2, c1));
+        assert!(joined.consistent_under_join(a2, b2));
+        assert_eq!(joined.mark(), root);
+        assert_eq!(joined.facts_len(), 1);
     }
 
     #[test]
