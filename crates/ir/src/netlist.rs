@@ -365,6 +365,16 @@ impl Netlist {
         self.nodes[id].inputs = inputs;
     }
 
+    /// Drops trailing nodes nothing references any more, keeping the first
+    /// `len`. This is the inverse of a run of [`Netlist::add_node`] calls
+    /// once every edge and output driver into the dropped nodes has been
+    /// rewired back (the retimer's undo); the caller is responsible for
+    /// that, and [`Netlist::validate`] reports any dangling reference.
+    /// Has no effect if `len` is not less than [`Netlist::node_count`].
+    pub fn truncate_nodes(&mut self, len: usize) {
+        self.nodes.truncate(len);
+    }
+
     /// Mutable access to a node: the in-place rewrite primitive the
     /// optimizer's passes (`lilac-opt`) are built on. The caller is
     /// responsible for re-establishing the invariants [`Netlist::validate`]
@@ -554,24 +564,44 @@ impl Netlist {
         let n = self.nodes.len();
         // Edges: from input operand -> node, but only when the node is
         // combinational (sequential nodes read their operands "later").
-        let mut indegree = vec![0usize; n];
-        let mut dependents: Vec<Vec<usize>> = vec![Vec::new(); n];
-        for (id, node) in self.nodes.iter_enumerated() {
-            if node.kind.is_sequential() {
-                continue;
-            }
+        // The dependents of node `i` are `dependents[start[i]..start[i + 1]]`
+        // (compressed sparse rows), in node-id order, one entry per operand
+        // edge.
+        let nodes = self.nodes.iter().enumerate().filter(|(_, node)| !node.kind.is_sequential());
+        let mut indegree = vec![0u32; n];
+        let mut start = vec![0u32; n + 1];
+        for (_, node) in nodes.clone() {
             for &input in &node.inputs {
-                dependents[input.0 as usize].push(id.0 as usize);
-                indegree[id.0 as usize] += 1;
+                start[input.0 as usize] += 1;
             }
         }
-        let mut queue: Vec<usize> = (0..n).filter(|&i| indegree[i] == 0).collect();
+        // Inclusive prefix sums: `start[i]` is now the end of row `i`. The
+        // fill below walks the edges backwards and decrements, which leaves
+        // `start[i]` at the beginning of row `i` and every row in forward
+        // node-id order.
+        let mut total = 0;
+        for s in &mut start[..n] {
+            total += *s;
+            *s = total;
+        }
+        start[n] = total;
+        let mut dependents = vec![0u32; total as usize];
+        for (id, node) in nodes.rev() {
+            indegree[id] = node.inputs.len() as u32;
+            for &input in node.inputs.iter().rev() {
+                let slot = &mut start[input.0 as usize];
+                *slot -= 1;
+                dependents[*slot as usize] = id as u32;
+            }
+        }
+        let mut queue: Vec<u32> = (0..n as u32).filter(|&i| indegree[i as usize] == 0).collect();
         let mut order = Vec::with_capacity(n);
         while let Some(i) = queue.pop() {
-            order.push(NodeId(i as u32));
-            for &d in &dependents[i] {
-                indegree[d] -= 1;
-                if indegree[d] == 0 {
+            order.push(NodeId(i));
+            let i = i as usize;
+            for &d in &dependents[start[i] as usize..start[i + 1] as usize] {
+                indegree[d as usize] -= 1;
+                if indegree[d as usize] == 0 {
                     queue.push(d);
                 }
             }

@@ -6,7 +6,9 @@
 //! * when an order is returned it is a valid topological order over the
 //!   *combinational* edges (every combinational node appears after all of
 //!   its operands; sequential nodes impose no ordering on theirs);
-//! * the function is deterministic: equal netlists yield equal orders;
+//! * the function is deterministic: equal netlists yield equal orders, and
+//!   the order is exactly that of a reference Kahn implementation with
+//!   per-node dependent lists and a LIFO queue;
 //! * it returns `None` exactly when a purely combinational cycle exists,
 //!   as judged by an independent DFS cycle detector written against the
 //!   same edge definition;
@@ -176,15 +178,53 @@ fn order_is_a_valid_topological_order_over_combinational_edges() {
     assert!(ordered >= 100, "generator must produce plenty of acyclic cases: {ordered}");
 }
 
+/// Reference order: Kahn's algorithm with one dependents `Vec` per node,
+/// filled in node-id order, and a LIFO work queue. `combinational_order`
+/// stores the same dependents as flat rows; the order it returns must be
+/// this one exactly, not merely another valid topological order, because
+/// timing, slack and simulation all iterate in it.
+fn reference_order(n: &Netlist) -> Option<Vec<NodeId>> {
+    let count = n.node_count();
+    let mut indegree = vec![0usize; count];
+    let mut dependents: Vec<Vec<usize>> = vec![Vec::new(); count];
+    for (id, node) in n.iter() {
+        if node.kind.is_sequential() {
+            continue;
+        }
+        for &input in &node.inputs {
+            dependents[input.0 as usize].push(id.0 as usize);
+            indegree[id.0 as usize] += 1;
+        }
+    }
+    let mut queue: Vec<usize> = (0..count).filter(|&i| indegree[i] == 0).collect();
+    let mut order = Vec::with_capacity(count);
+    while let Some(i) = queue.pop() {
+        order.push(NodeId(i as u32));
+        for &d in &dependents[i] {
+            indegree[d] -= 1;
+            if indegree[d] == 0 {
+                queue.push(d);
+            }
+        }
+    }
+    (order.len() == count).then_some(order)
+}
+
 #[test]
 fn order_is_deterministic() {
-    for seed in 0..100 {
+    let mut cyclic = 0;
+    for seed in 0..400 {
         let n = random_netlist(seed);
-        assert_eq!(n.combinational_order(), n.combinational_order(), "seed {seed}");
+        let order = n.combinational_order();
+        assert_eq!(order, n.combinational_order(), "seed {seed}");
         // And across structurally equal netlists built from scratch.
         let m = random_netlist(seed);
-        assert_eq!(n.combinational_order(), m.combinational_order(), "seed {seed}");
+        assert_eq!(order, m.combinational_order(), "seed {seed}");
+        // And it is exactly the reference order (both `None` when cyclic).
+        assert_eq!(order, reference_order(&n), "seed {seed}: order differs from the reference");
+        cyclic += order.is_none() as usize;
     }
+    assert!(cyclic >= 20, "generator must produce cyclic cases: {cyclic}");
 }
 
 #[test]

@@ -390,10 +390,13 @@ pub mod gbp {
             drivers.insert(format!("px_{i}"), c);
         }
         let outs = n.inline(core, &drivers, "gbp");
-        for (i, (name, node)) in outs.iter().enumerate() {
+        // Stable output order: follow the core's own output declaration
+        // order rather than the HashMap the inliner returns.
+        for (i, (port, _)) in core.outputs.iter().enumerate() {
             // Collect the pyramid's chunk outputs back into a window register.
-            let reg = n.add_node(NodeKind::Reg, vec![*node], width, format!("deser{i}"));
-            n.add_output(format!("out_{name}"), reg);
+            let node = outs[&port.name];
+            let reg = n.add_node(NodeKind::Reg, vec![node], width, format!("deser{i}"));
+            n.add_output(format!("out_{}", port.name), reg);
         }
         n
     }

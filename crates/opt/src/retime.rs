@@ -66,15 +66,23 @@
 //! identical blend lanes at the critical delay, no single move shortens
 //! the maximum, but each move that rebalances one lane empties the
 //! critical set by one — and rebalancing the last lane drops the path
-//! itself. The fixpoint loop applies the best strictly-improving move
-//! until none remains, so the pair decreases monotonically and
+//! itself.
+//!
+//! Probes run in place on the one working netlist: each candidate is
+//! applied, timed, and undone. The undo record holds only what the move
+//! touched (the decremented stages' old kinds, the rewired operand edges
+//! and output drivers), and undoing truncates the fresh stages, so the
+//! netlist comes back exactly and the consumer table computed once per
+//! round stays valid for every probe. A forward move finds the readers it
+//! rewires in that table instead of scanning the netlist. The winner is
+//! applied once more. The fixpoint loop applies the best strictly-improving
+//! move until none remains, so the pair decreases monotonically and
 //! `critical_path_ns(retime(n)) <= critical_path_ns(n)` holds by
 //! construction. The fuzzer's seventh differential oracle holds the rest:
 //! `retime(n) ≡ n` under `lilac-sim` on every output of every cycle.
 
 use lilac_ir::{mask, Netlist, NodeId, NodeKind};
-use lilac_synth::timing_detail;
-use std::collections::HashMap;
+use lilac_synth::{timing_detail, TimingDetail};
 
 /// Minimum critical-path improvement (ns) for a move to be accepted; keeps
 /// the fixpoint from churning on floating-point dust.
@@ -203,16 +211,15 @@ fn decrement_stage(n: &mut Netlist, s: NodeId) {
 /// order, pruned to moves that can plausibly shorten a combinational path:
 /// forward moves need logic downstream of the crossed node, backward moves
 /// need logic upstream of it.
-fn candidates(n: &Netlist) -> Vec<Move> {
+fn candidates(n: &Netlist, u: &Uses) -> Vec<Move> {
     let Some(slack) = n.combinational_slack() else { return Vec::new() };
-    let u = uses(n);
     let mut moves = Vec::new();
     for (id, node) in n.iter() {
         // Forward: `id` is the combinational node being crossed.
         if crossable(&node.kind)
             && !node.inputs.is_empty()
             && slack[id.0 as usize].depth_out >= 1
-            && forward_operands_legal(n, node, &u, id)
+            && forward_operands_legal(n, node, u, id)
             && powerup_value(n, id) == Some(0)
         {
             moves.push(Move::Forward(id));
@@ -256,19 +263,39 @@ fn forward_operands_legal(n: &Netlist, c_node: &lilac_ir::Node, u: &Uses, c: Nod
     any_stage
 }
 
-/// Applies a move. Both rewrites add exactly one fresh stage node (forward)
-/// or one per distinct non-constant operand (backward).
-fn apply(n: &mut Netlist, mv: Move) {
+/// What one [`apply`] changed, so that [`undo`] restores the netlist
+/// exactly.
+struct Undo {
+    /// Node count before the move; every node from here on is a fresh
+    /// stage.
+    len: usize,
+    /// Each decremented stage and its kind before the move.
+    stages: Vec<(NodeId, NodeKind)>,
+    /// Each rewired operand edge: node, operand position, old operand.
+    edges: Vec<(NodeId, usize, NodeId)>,
+    /// Each rewired output port (forward moves across an output driver
+    /// only): port index and old driver.
+    outputs: Vec<(usize, NodeId)>,
+}
+
+/// Applies a move to `n` in place and returns what it changed. Both
+/// rewrites add exactly one fresh stage node (forward) or one per distinct
+/// non-constant operand (backward). `u` must be the consumer table of `n`
+/// as it stands.
+fn apply(n: &mut Netlist, mv: Move, u: &Uses) -> Undo {
+    let mut change =
+        Undo { len: n.node_count(), stages: Vec::new(), edges: Vec::new(), outputs: Vec::new() };
     match mv {
         Move::Forward(c) => {
             // Decrement each distinct non-constant operand stage once.
-            let operands = n.node(c).inputs.clone();
-            let mut seen: Vec<NodeId> = Vec::new();
-            for x in operands {
-                if matches!(n.node(x).kind, NodeKind::Const(_)) || seen.contains(&x) {
+            for k in 0..n.node(c).inputs.len() {
+                let x = n.node(c).inputs[k];
+                if matches!(n.node(x).kind, NodeKind::Const(_))
+                    || change.stages.iter().any(|&(s, _)| s == x)
+                {
                     continue;
                 }
-                seen.push(x);
+                change.stages.push((x, n.node(x).kind.clone()));
                 decrement_stage(n, x);
             }
             // Fresh one-cycle stage after `c`; every other reader of `c`
@@ -276,47 +303,102 @@ fn apply(n: &mut Netlist, mv: Move) {
             let width = n.node(c).width;
             let name = format!("{}_rt", n.node(c).name);
             let fresh = n.add_node(NodeKind::Delay(1), vec![c], width, name);
-            let ids: Vec<NodeId> = n.iter().map(|(id, _)| id).collect();
-            for id in ids {
-                if id == fresh {
-                    continue;
-                }
-                let node = n.node_mut(id);
-                for input in &mut node.inputs {
+            for &r in &u.consumers[c.0 as usize] {
+                // A reader of `c` through several operands is listed once per
+                // edge; its first visit rewires all of them.
+                for (k, input) in n.node_mut(r).inputs.iter_mut().enumerate() {
                     if *input == c {
                         *input = fresh;
+                        change.edges.push((r, k, c));
                     }
                 }
             }
-            for (_, driver) in &mut n.outputs {
-                if *driver == c {
-                    *driver = fresh;
+            if u.drives_output[c.0 as usize] {
+                for (k, (_, driver)) in n.outputs.iter_mut().enumerate() {
+                    if *driver == c {
+                        *driver = fresh;
+                        change.outputs.push((k, c));
+                    }
                 }
             }
         }
         Move::Backward(s) => {
             let c = n.node(s).inputs[0];
+            change.stages.push((s, n.node(s).kind.clone()));
             decrement_stage(n, s);
             // Fresh one-cycle stage on each distinct non-constant operand
             // of `c`, at the operand's own width (identity mask).
-            let operands = n.node(c).inputs.clone();
-            let mut fresh: HashMap<NodeId, NodeId> = HashMap::new();
-            let mut rewired = Vec::with_capacity(operands.len());
-            for x in operands {
+            let mut fresh: Vec<(NodeId, NodeId)> = Vec::new();
+            for k in 0..n.node(c).inputs.len() {
+                let x = n.node(c).inputs[k];
                 if matches!(n.node(x).kind, NodeKind::Const(_)) {
-                    rewired.push(x);
                     continue;
                 }
-                let stage = *fresh.entry(x).or_insert_with(|| {
-                    let width = n.node(x).width;
-                    let name = format!("{}_rt", n.node(x).name);
-                    n.add_node(NodeKind::Delay(1), vec![x], width, name)
-                });
-                rewired.push(stage);
+                let stage = match fresh.iter().find(|&&(op, _)| op == x) {
+                    Some(&(_, stage)) => stage,
+                    None => {
+                        let width = n.node(x).width;
+                        let name = format!("{}_rt", n.node(x).name);
+                        let stage = n.add_node(NodeKind::Delay(1), vec![x], width, name);
+                        fresh.push((x, stage));
+                        stage
+                    }
+                };
+                n.node_mut(c).inputs[k] = stage;
+                change.edges.push((c, k, x));
             }
-            n.node_mut(c).inputs = rewired;
         }
     }
+    change
+}
+
+/// Reverts an [`apply`]: restores every rewired output driver, operand
+/// edge and stage kind, then drops the fresh stages, which nothing reads
+/// any more.
+fn undo(n: &mut Netlist, change: Undo) {
+    for (k, driver) in change.outputs {
+        n.outputs[k].1 = driver;
+    }
+    for (r, k, old) in change.edges {
+        n.node_mut(r).inputs[k] = old;
+    }
+    for (s, kind) in change.stages {
+        n.node_mut(s).kind = kind;
+    }
+    n.truncate_nodes(change.len);
+}
+
+/// The objective: `a` is strictly better than `b` when its critical path
+/// is shorter by more than [`MIN_GAIN_NS`], or no longer and with a smaller
+/// critical set.
+fn lex_better(a: &TimingDetail, b: &TimingDetail) -> bool {
+    a.critical_path_ns < b.critical_path_ns - MIN_GAIN_NS
+        || (a.critical_path_ns <= b.critical_path_ns + 1e-9
+            && a.critical_endpoints < b.critical_endpoints)
+}
+
+/// One round of the fixpoint: scores every candidate move of `n` in place
+/// (apply, time, undo) and returns the best one that strictly improves on
+/// `current`, first wins ties. `n` is left exactly as it was; `u` must be
+/// its consumer table.
+fn best_move(
+    n: &mut Netlist,
+    u: &Uses,
+    current: &TimingDetail,
+    scored: &mut usize,
+) -> Option<(Move, TimingDetail)> {
+    let mut best: Option<(Move, TimingDetail)> = None;
+    for mv in candidates(n, u) {
+        let change = apply(n, mv, u);
+        *scored += 1;
+        let timing = timing_detail(n);
+        undo(n, change);
+        if lex_better(&timing, current) && best.as_ref().is_none_or(|(_, b)| lex_better(&timing, b))
+        {
+            best = Some((mv, timing));
+        }
+    }
+    best
 }
 
 /// Retimes a netlist: see the module docs. Returns the rewritten netlist.
@@ -364,46 +446,25 @@ pub fn retime_with_stats(netlist: &Netlist) -> (Netlist, RetimeStats) {
     // fixpoint terminates.
     let mut current = timing_detail(&n);
     stats.critical_path_before_ns = current.critical_path_ns;
-    let lex_better = |a: &lilac_synth::TimingDetail, b: &lilac_synth::TimingDetail| -> bool {
-        a.critical_path_ns < b.critical_path_ns - MIN_GAIN_NS
-            || (a.critical_path_ns <= b.critical_path_ns + 1e-9
-                && a.critical_endpoints < b.critical_endpoints)
-    };
     while stats.moves() < MAX_MOVES {
-        // Score every candidate against the cost model; keep the best
-        // strictly-improving one (first wins ties: deterministic).
-        //
-        // Each probe clones the netlist and recomputes full timing — a
-        // deliberate trade of asymptotics for obviousness: moves stay
-        // trivially side-effect-free, and the measured cost is microseconds
-        // to low milliseconds per *complete* retime on the bundled paper
-        // designs (`cargo bench -p lilac-bench`, `retime/...` rows), with
-        // fuzz-case netlists far smaller. Incremental rescoring (apply +
-        // undo, cone-limited arrival updates) is the upgrade path if a
-        // future workload makes this the bottleneck.
-        let mut best: Option<(Move, Netlist, lilac_synth::TimingDetail)> = None;
-        for mv in candidates(&n) {
-            let mut probe = n.clone();
-            apply(&mut probe, mv);
-            stats.candidates_scored += 1;
-            let timing = timing_detail(&probe);
-            if lex_better(&timing, &current)
-                && best.as_ref().is_none_or(|(_, _, b)| lex_better(&timing, b))
-            {
-                best = Some((mv, probe, timing));
-            }
-        }
-        let Some((mv, probe, timing)) = best else { break };
-        debug_assert!(probe.validate().is_ok(), "retime: move {mv:?} broke validation");
+        // Every probe rewrites the one working netlist in place and undoes
+        // itself after timing, so the round's consumer table stays exact
+        // for every candidate and for the winner, which is applied again.
+        let u = uses(&n);
+        let Some((mv, timing)) = best_move(&mut n, &u, &current, &mut stats.candidates_scored)
+        else {
+            break;
+        };
+        apply(&mut n, mv, &u);
+        debug_assert!(n.validate().is_ok(), "retime: move {mv:?} broke validation");
         assert!(
-            probe.combinational_order().is_some(),
+            n.combinational_order().is_some(),
             "retime: move {mv:?} created a combinational cycle"
         );
         match mv {
             Move::Forward(_) => stats.forward_moves += 1,
             Move::Backward(_) => stats.backward_moves += 1,
         }
-        n = probe;
         current = timing;
     }
     n.validate().expect("retime: retimed netlist must validate");
@@ -487,11 +548,10 @@ mod tests {
         assert_eq!(ret.output_min_latencies(), n.output_min_latencies());
     }
 
-    #[test]
-    fn forward_move_balances_logic_after_the_registers() {
-        // Registers on the inputs, two chained adds after them, then a
-        // register: a forward move pushes one input register past the
-        // first add.
+    /// Registers on the inputs, two chained adds after them, then a
+    /// register: a forward move pushes one input register past the first
+    /// add.
+    fn forward() -> Netlist {
         let mut n = Netlist::new("fwd");
         let a = n.add_input("a", 16);
         let b = n.add_input("b", 16);
@@ -501,6 +561,12 @@ mod tests {
         let s1 = n.add_node(NodeKind::Add, vec![ra, rb], 16, "s1");
         let s2 = n.add_node(NodeKind::Mul, vec![s1, c], 16, "s2");
         n.add_output("o", s2);
+        n
+    }
+
+    #[test]
+    fn forward_move_balances_logic_after_the_registers() {
+        let n = forward();
         let (ret, stats) = retime_with_stats(&n);
         assert!(stats.forward_moves >= 1, "{stats:?}");
         assert!(stats.critical_path_after_ns < stats.critical_path_before_ns);
@@ -524,8 +590,8 @@ mod tests {
         assert_cycle_exact(&n, &ret, 16);
     }
 
-    #[test]
-    fn registers_never_cross_regen_or_cores() {
+    /// A `RegEn` and a pipelined core in front of the only movable stage.
+    fn stateful() -> Netlist {
         let mut n = Netlist::new("stateful");
         let a = n.add_input("a", 8);
         let en = n.add_input("en", 1);
@@ -539,6 +605,12 @@ mod tests {
         );
         let r = n.add_node(NodeKind::Reg, vec![core], 8, "r");
         n.add_output("o", r);
+        n
+    }
+
+    #[test]
+    fn registers_never_cross_regen_or_cores() {
+        let n = stateful();
         let (ret, stats) = retime_with_stats(&n);
         // The only stage is `r`, whose driver is a core (not crossable);
         // `held` is RegEn (not a movable stage). Nothing may move.
@@ -546,10 +618,9 @@ mod tests {
         assert_cycle_exact(&n, &ret, 24);
     }
 
-    #[test]
-    fn fanout_across_a_register_cut_blocks_the_forward_move() {
-        // `ra` feeds both the add and an output port: decrementing it
-        // would change the tap's latency, so the move is illegal.
+    /// `ra` feeds both the add and an output port: decrementing it would
+    /// change the tap's latency, so the forward move is illegal.
+    fn tap() -> Netlist {
         let mut n = Netlist::new("tap");
         let a = n.add_input("a", 8);
         let b = n.add_input("b", 8);
@@ -559,17 +630,21 @@ mod tests {
         let m = n.add_node(NodeKind::Mul, vec![s, s], 8, "m");
         n.add_output("tap", ra);
         n.add_output("o", m);
+        n
+    }
+
+    #[test]
+    fn fanout_across_a_register_cut_blocks_the_forward_move() {
+        let n = tap();
         let (ret, stats) = retime_with_stats(&n);
         assert_eq!(stats.forward_moves, 0, "{stats:?}");
         assert_cycle_exact(&n, &ret, 24);
         assert_eq!(ret.output_min_latencies(), n.output_min_latencies());
     }
 
-    #[test]
-    fn feedback_loops_survive_retiming() {
-        // An accumulator: reg -> add(i) -> reg feedback, with a long
-        // combinational tail. Retiming must keep the loop intact and
-        // cycle-exact.
+    /// An accumulator: reg -> add(i) -> reg feedback, with a long
+    /// combinational tail.
+    fn feedback() -> Netlist {
         let mut n = Netlist::new("acc");
         let i = n.add_input("i", 8);
         let reg = n.add_node(NodeKind::Reg, vec![i], 8, "acc");
@@ -579,6 +654,13 @@ mod tests {
         let t2 = n.add_node(NodeKind::Add, vec![t1, i], 8, "t2");
         let r2 = n.add_node(NodeKind::Reg, vec![t2], 8, "r2");
         n.add_output("o", r2);
+        n
+    }
+
+    #[test]
+    fn feedback_loops_survive_retiming() {
+        // Retiming must keep the loop intact and cycle-exact.
+        let n = feedback();
         let (ret, stats) = retime_with_stats(&n);
         assert_cycle_exact(&n, &ret, 48);
         assert_eq!(ret.output_min_latencies(), n.output_min_latencies());
@@ -598,31 +680,140 @@ mod tests {
         assert_eq!(again, a);
     }
 
-    #[test]
-    fn constant_operands_retime_only_when_powerup_agrees() {
-        // Add(x_reg, 5): at power-up the add shows 5, a register shows 0 —
-        // the move is illegal and must not fire.
-        let mut n = Netlist::new("k5");
+    /// `Mul(s, s)` after `s = Add(Reg(a), k)`.
+    fn constant_operand(k: u64) -> Netlist {
+        let mut n = Netlist::new(format!("k{k}"));
         let a = n.add_input("a", 8);
-        let k = n.add_const(5, 8);
+        let k = n.add_const(k, 8);
         let ra = n.add_node(NodeKind::Reg, vec![a], 8, "ra");
         let s = n.add_node(NodeKind::Add, vec![ra, k], 8, "s");
         let m = n.add_node(NodeKind::Mul, vec![s, s], 8, "m");
         n.add_output("o", m);
+        n
+    }
+
+    #[test]
+    fn constant_operands_retime_only_when_powerup_agrees() {
+        // Add(x_reg, 5): at power-up the add shows 5, a register shows 0 —
+        // the move is illegal and must not fire.
+        let n = constant_operand(5);
         let (ret, stats) = retime_with_stats(&n);
         assert_eq!(stats.moves(), 0, "Add(_, 5) is non-zero at power-up: {stats:?}");
         assert_cycle_exact(&n, &ret, 16);
 
         // Add(x_reg, 0) is zero at power-up; the forward move is legal.
-        let mut z = Netlist::new("k0");
-        let a = z.add_input("a", 8);
-        let k = z.add_const(0, 8);
-        let ra = z.add_node(NodeKind::Reg, vec![a], 8, "ra");
-        let s = z.add_node(NodeKind::Add, vec![ra, k], 8, "s");
-        let m = z.add_node(NodeKind::Mul, vec![s, s], 8, "m");
-        z.add_output("o", m);
+        let z = constant_operand(0);
         let (ret, stats) = retime_with_stats(&z);
         assert!(stats.forward_moves >= 1, "{stats:?}");
         assert_cycle_exact(&z, &ret, 24);
+    }
+
+    /// A small seeded netlist over the retimer's node menu: stage chains,
+    /// arithmetic with zero and non-zero constants, `Not`, `RegEn`, shared
+    /// operands, several outputs, and feedback closed through a `Reg`.
+    fn random_netlist(seed: u64) -> Netlist {
+        let mut rng = lilac_util::rng::Rng::new(seed);
+        let mut n = Netlist::new(format!("undo_{seed}"));
+        let mut ids: Vec<NodeId> = (0..1 + rng.index(3))
+            .map(|i| n.add_input(format!("i{i}"), 1 + rng.index(16) as u32))
+            .collect();
+        for k in 0..4 + rng.index(24) {
+            // Operands come mostly from the last few nodes, so chains of
+            // stages and logic (what retiming moves across) are common.
+            let pick =
+                |rng: &mut lilac_util::rng::Rng| ids[ids.len() - 1 - rng.index(ids.len().min(4))];
+            let any = pick(&mut rng);
+            let other = pick(&mut rng);
+            let width = 1 + rng.index(16) as u32;
+            let name = format!("n{k}");
+            let id = match rng.index(12) {
+                0 => n.add_const(if rng.chance(1, 2) { 0 } else { rng.next_u64() }, width),
+                1..=3 => n.add_node(NodeKind::Reg, vec![any], width, name),
+                4 => n.add_node(NodeKind::Delay(rng.index(3) as u32), vec![any], width, name),
+                5 => n.add_node(NodeKind::Not, vec![any], width, name),
+                6 => n.add_node(NodeKind::RegEn, vec![any, other], width, name),
+                7 => {
+                    let sel = pick(&mut rng);
+                    n.add_node(NodeKind::Mux, vec![sel, any, other], width, name)
+                }
+                _ => {
+                    let kind = [NodeKind::Add, NodeKind::Mul, NodeKind::And, NodeKind::Xor]
+                        [rng.index(4)]
+                    .clone();
+                    n.add_node(kind, vec![any, other], width, name)
+                }
+            };
+            ids.push(id);
+        }
+        // Feedback: a register reads a later node (a sequential loop).
+        for _ in 0..rng.index(3) {
+            let reg = ids[rng.index(ids.len())];
+            if matches!(n.node(reg).kind, NodeKind::Reg) {
+                n.set_inputs(reg, vec![ids[rng.index(ids.len())]]);
+            }
+        }
+        for o in 0..1 + rng.index(2) {
+            n.add_output(format!("o{o}"), ids[ids.len() - 1 - o]);
+        }
+        n
+    }
+
+    /// Drives the fixpoint round by round as [`retime_with_stats`] does. At
+    /// every round, every candidate's apply + undo must restore the netlist
+    /// exactly (nodes, names, kinds, operands, outputs and node count), and
+    /// applying the same move twice must give the same netlist. Scoring a
+    /// round must leave the netlist untouched, and re-applying each winner
+    /// must end exactly where [`retime`] ends. Returns the probes made.
+    fn assert_undo_exact(original: &Netlist) -> usize {
+        let mut n = original.clone();
+        let mut current = timing_detail(&n);
+        let mut probes = 0;
+        for _ in 0..MAX_MOVES {
+            let u = uses(&n);
+            for mv in candidates(&n, &u) {
+                let before = n.clone();
+                let change = apply(&mut n, mv, &u);
+                let after = n.clone();
+                undo(&mut n, change);
+                assert_eq!(n, before, "{mv:?} on `{}`: undo is not exact", n.name);
+                let change = apply(&mut n, mv, &u);
+                assert_eq!(n, after, "{mv:?} on `{}`: re-applying differs", n.name);
+                undo(&mut n, change);
+                probes += 1;
+            }
+            let before = n.clone();
+            let mut scored = 0;
+            let Some((mv, timing)) = best_move(&mut n, &u, &current, &mut scored) else { break };
+            assert_eq!(n, before, "scoring a round of `{}` changed the netlist", n.name);
+            apply(&mut n, mv, &u);
+            current = timing;
+        }
+        assert_eq!(n, retime(original), "re-applied winners of `{}` differ", original.name);
+        probes
+    }
+
+    #[test]
+    fn undo_restores_the_netlist_exactly() {
+        let fixtures = [
+            unbalanced(),
+            forward(),
+            feedback(),
+            stateful(),
+            tap(),
+            constant_operand(0),
+            constant_operand(5),
+        ];
+        let mut probes = 0;
+        for n in &fixtures {
+            probes += assert_undo_exact(n);
+        }
+        let mut moved = 0;
+        for seed in 0..600 {
+            let n = random_netlist(seed);
+            probes += assert_undo_exact(&n);
+            moved += retime_with_stats(&n).1.moves().min(1);
+        }
+        assert!(probes >= 300, "too few probes exercised: {probes}");
+        assert!(moved >= 60, "too few random netlists retime at all: {moved}");
     }
 }

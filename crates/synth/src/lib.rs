@@ -217,14 +217,27 @@ pub struct TimingDetail {
 /// set; see [`critical_path_ns`] and [`TimingDetail`].
 pub fn timing_detail(netlist: &Netlist) -> TimingDetail {
     // Fan-out counts (operand edges plus output drivers).
+    //
+    // Endpoints are counted only at path-*terminal* observation sites:
+    // sequential nodes (marked below), output drivers, and nodes nothing
+    // consumes. A consumed combinational node's observation is always
+    // dominated by (or duplicated at) a consumer's — a combinational reader
+    // extends the path with non-negative delay, and a sequential reader
+    // records the same operand arrival as its own endpoint — so restricting
+    // the count changes nothing about the maximum, but it stops one
+    // physical path (through zero-delay nodes, or into a register) from
+    // being counted as several tied "endpoints", which would skew the
+    // retimer's secondary objective.
     let mut fanout = vec![0u64; netlist.node_count()];
     for (_, node) in netlist.iter() {
         for input in &node.inputs {
             fanout[input.0 as usize] += 1;
         }
     }
+    let mut terminal: Vec<bool> = fanout.iter().map(|&f| f == 0).collect();
     for (_, id) in &netlist.outputs {
         fanout[id.0 as usize] += 1;
+        terminal[id.0 as usize] = true;
     }
 
     // Critical path: longest combinational arrival time. Paths start at
@@ -282,30 +295,6 @@ pub fn timing_detail(netlist: &Netlist) -> TimingDetail {
             worst = worst.max(own + SEQUENTIAL_OVERHEAD_NS);
             let slot = &mut endpoint[id.0 as usize];
             *slot = slot.max(worst);
-        }
-    }
-
-    // Endpoints are counted only at path-*terminal* observation sites:
-    // sequential nodes, output drivers, and nodes nothing consumes. A
-    // consumed combinational node's observation is always dominated by (or
-    // duplicated at) a consumer's — a combinational reader extends the
-    // path with non-negative delay, and a sequential reader records the
-    // same operand arrival as its own endpoint — so restricting the count
-    // changes nothing about the maximum, but it stops one physical path
-    // (through zero-delay nodes, or into a register) from being counted as
-    // several tied "endpoints", which would skew the retimer's secondary
-    // objective.
-    let mut terminal = vec![true; netlist.node_count()];
-    for (_, node) in netlist.iter() {
-        for input in &node.inputs {
-            terminal[input.0 as usize] = false;
-        }
-    }
-    for (_, id) in &netlist.outputs {
-        terminal[id.0 as usize] = true;
-    }
-    for (id, node) in netlist.iter() {
-        if node.kind.is_sequential() {
             terminal[id.0 as usize] = true;
         }
     }

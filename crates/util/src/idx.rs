@@ -128,6 +128,12 @@ impl<I: Idx, T> IndexVec<I, T> {
         (0..self.raw.len()).map(I::from_usize)
     }
 
+    /// Shortens the vector to its first `len` elements, dropping the rest.
+    /// Has no effect if `len` is not less than the current length.
+    pub fn truncate(&mut self, len: usize) {
+        self.raw.truncate(len);
+    }
+
     /// Consumes the vector and returns the underlying storage.
     pub fn into_inner(self) -> Vec<T> {
         self.raw
@@ -227,7 +233,12 @@ mod tests {
         assert_eq!(v.next_index(), TestId(0));
         v.extend([1, 2, 3]);
         assert_eq!(v.next_index(), TestId(3));
-        assert_eq!(v.into_inner(), vec![1, 2, 3]);
+        v.truncate(5);
+        assert_eq!(v.len(), 3);
+        v.truncate(2);
+        assert_eq!(v.next_index(), TestId(2));
+        v.push(4);
+        assert_eq!(v.into_inner(), vec![1, 2, 4]);
     }
 
     #[test]
