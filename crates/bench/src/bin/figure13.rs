@@ -28,7 +28,7 @@ fn main() {
     println!("Paper (Vivado): +26.2% LUTs, +33.0% registers, -6.8% frequency.");
     println!(
         "Retimed points preserve every output latency exactly (asserted by `cargo test -p \
-         lilac-bench`; `figure8 --check` gates the bundled paper netlists the same way);"
+         lilac-bench`, which checks the bundled paper netlists the same way);"
     );
     println!("see EXPERIMENTS.md \"Register retiming\" for which points move and why.");
 }

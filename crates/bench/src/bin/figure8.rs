@@ -1,100 +1,27 @@
 //! Regenerates Figure 8: type-checker performance on the bundled designs,
 //! with the solver-effort columns behind each number.
 //!
-//! `--json <path>` additionally writes the machine-readable
-//! `BENCH_figure8.json` run report (used by the CI timing smoke job): the
-//! Figure 8 check times plus per-netlist optimizer node counts, retiming
-//! fmax deltas, incremental re-checking hit rates, and per-target
-//! static-analysis lint counts — one diffable JSON document per run, so
-//! perf trajectories are comparable across PRs.
+//! `--report` prints the deterministic report instead of the table
+//! ([`lilac_bench::report`]: Figure 8's counts, optimizer node counts and
+//! warm-recheck replays, no wall clock). It is checked in as
+//! `crates/bench/tests/report_baseline.txt`; regenerate it with
 //!
-//! `--check` validates that the run actually measured something — every
-//! design must have discharged obligations through real solver queries and
-//! the query cache must have carried weight somewhere — that the netlist
-//! optimizer (`lilac-opt`) never *increases* the node count on any bundled
-//! design netlist, and that the register retimer (`lilac_opt::retime`)
-//! never grows a bundled design's estimated critical path or changes any
-//! output's latency; it exits non-zero otherwise. CI uses this to fail
-//! instead of silently uploading an artifact full of zeros (or shipping an
-//! optimizer that pessimizes).
-
-/// `--check`: fail loudly when the benchmark silently measured nothing.
-fn check_rows(rows: &[lilac_bench::Figure8Row]) -> Result<(), String> {
-    if rows.is_empty() {
-        return Err("no Figure 8 rows were produced".to_string());
-    }
-    for row in rows {
-        if row.obligations == 0 {
-            return Err(format!("{}: zero obligations discharged", row.design.name()));
-        }
-        if row.solver.queries == 0 {
-            return Err(format!("{}: zero solver queries issued", row.design.name()));
-        }
-    }
-    let hits: usize = rows.iter().map(|r| r.solver.cache_hits).sum();
-    let queries: usize = rows.iter().map(|r| r.solver.queries).sum();
-    let hit_rate = hits as f64 / queries as f64;
-    if hit_rate <= 0.0 {
-        return Err(format!(
-            "aggregate cache hit rate is zero ({hits}/{queries} queries) — the query cache is \
-             not engaging"
-        ));
-    }
-    Ok(())
-}
-
-/// `--check`: the optimizer must never increase the node count on any
-/// bundled design netlist.
-fn check_optimizer() -> Result<(), String> {
-    let netlists = lilac_bench::paper_netlists().map_err(|e| e.to_string())?;
-    for (name, netlist) in &netlists {
-        let (_, stats) = lilac_opt::optimize_with_stats(netlist);
-        if stats.nodes_after > stats.nodes_before {
-            return Err(format!(
-                "{name}: optimizer increased node count {} -> {}",
-                stats.nodes_before, stats.nodes_after
-            ));
-        }
-        println!(
-            "check: opt/{name}: {} -> {} nodes ({:.1}% reduction)",
-            stats.nodes_before,
-            stats.nodes_after,
-            stats.node_reduction() * 100.0
-        );
-    }
-    Ok(())
-}
-
-/// `--check`: the retimer must never grow a bundled design's estimated
-/// critical path and must never change any output's input-to-output
-/// register latency — a retiming regression on either axis fails the
-/// build. (The retimed Figure 13 points additionally need real fmax wins,
-/// asserted by `cargo test -p lilac-bench`.)
-fn check_retiming() -> Result<(), String> {
-    let rows = lilac_bench::retiming_report(1).map_err(|e| e.to_string())?;
-    for row in &rows {
-        if row.stats.critical_path_after_ns > row.stats.critical_path_before_ns + 1e-9 {
-            return Err(format!(
-                "{}: retiming grew the estimated critical path {:.3} -> {:.3} ns",
-                row.design, row.stats.critical_path_before_ns, row.stats.critical_path_after_ns
-            ));
-        }
-        if !row.latency_preserved {
-            return Err(format!("{}: retiming changed a per-output latency", row.design));
-        }
-        println!(
-            "check: retime/{}: {} move(s), cp {:.2} -> {:.2} ns (fmax {:+.1}%), latency preserved",
-            row.design,
-            row.stats.moves(),
-            row.stats.critical_path_before_ns,
-            row.stats.critical_path_after_ns,
-            row.stats.fmax_gain_pct()
-        );
-    }
-    Ok(())
-}
+//! ```text
+//! cargo run --release -p lilac-bench --bin figure8 -- --report > crates/bench/tests/report_baseline.txt
+//! ```
 
 fn main() {
+    match std::env::args().nth(1).as_deref() {
+        None => {}
+        Some("--report") => {
+            print!("{}", lilac_bench::report().expect("deterministic report"));
+            return;
+        }
+        Some(other) => {
+            eprintln!("figure8: unknown argument `{other}` (usage: figure8 [--report])");
+            std::process::exit(2);
+        }
+    }
     let rows = lilac_bench::figure8().expect("figure 8 harness");
     println!("Figure 8: Type checker performance");
     println!(
@@ -132,39 +59,4 @@ fn main() {
     println!("expected to be correspondingly lower; all designs check in well under a second.");
     println!("Queries/hits/cubes describe the optimized solver pipeline's effort; see");
     println!("EXPERIMENTS.md for the optimized-vs-naive A/B.");
-
-    let mut args = std::env::args().skip(1);
-    let mut check = false;
-    while let Some(arg) = args.next() {
-        if arg == "--json" {
-            let path = args.next().unwrap_or_else(|| "BENCH_figure8.json".to_string());
-            let report = lilac_bench::run_report(rows.clone()).expect("run report");
-            std::fs::write(&path, lilac_bench::run_report_json(&report))
-                .unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
-            println!(
-                "\nwrote {path} ({} figure8 rows, {} netlists, {} retiming rows, {} incremental rows, {} lint targets, campaign {} cases/{} shards)",
-                report.figure8.len(),
-                report.netlists.len(),
-                report.retiming.len(),
-                report.incremental.len(),
-                report.lints.len(),
-                report.campaign.cases,
-                report.campaign.shards
-            );
-        } else if arg == "--check" {
-            check = true;
-        }
-    }
-    if check {
-        match check_rows(&rows).and_then(|()| check_optimizer()).and_then(|()| check_retiming()) {
-            Ok(()) => println!(
-                "check: all designs issued queries, the cache engaged, the optimizer never grew \
-                 a netlist, and the retimer never grew a critical path or moved a latency"
-            ),
-            Err(e) => {
-                eprintln!("check FAILED: {e}");
-                std::process::exit(1);
-            }
-        }
-    }
 }

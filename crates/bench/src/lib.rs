@@ -13,13 +13,20 @@
 //! | Figure 8 — compiler performance | [`figure8`] | `cargo run -p lilac-bench --bin figure8` |
 //! | Figure 13 — GBP LA vs LI | [`figure13`] | `cargo run -p lilac-bench --bin figure13` |
 //!
+//! Every count behind those exhibits that is a pure function of the
+//! repository — Figure 8's obligations and solver effort, the optimizer's
+//! node counts, the warm-recheck replays — is rendered by [`report`] and
+//! checked in as `crates/bench/tests/report_baseline.txt`, which a test
+//! diffs byte for byte; its git history is the trajectory. The report
+//! carries no wall clock: times live in the exhibit tables, in
+//! `cargo bench -p lilac-bench`, and in the repository benchmark
+//! (`benchmark/`).
+//!
 //! Absolute LUT/register/frequency numbers come from `lilac-synth`'s analytic
 //! model rather than a Vivado run, so they are not expected to match the
 //! paper's numbers; the relationships the paper argues for (who wins, by
 //! roughly what factor, and how the gap moves across design points) are what
 //! `EXPERIMENTS.md` compares.
-
-pub mod json;
 
 use lilac_core::{
     check_program, check_program_with, CheckOptions, CheckReport, GeneratorFeature, InterfaceStyle,
@@ -178,27 +185,17 @@ pub struct Figure8Row {
 
 /// Regenerates Figure 8: type-checker performance on the bundled designs
 /// (the default sliced + cached + parallel pipeline). `check_time` is the
-/// wall clock of the whole-program `check_program_with` call.
+/// wall clock of the whole-program `check_program` call.
 ///
 /// # Errors
 ///
 /// Propagates parse or type-check errors (none expected).
 pub fn figure8() -> Result<Vec<Figure8Row>> {
-    figure8_with(&CheckOptions::default())
-}
-
-/// Figure 8 under explicit [`CheckOptions`] (the naive baseline uses
-/// [`CheckOptions::naive`]).
-///
-/// # Errors
-///
-/// See [`figure8`].
-pub fn figure8_with(options: &CheckOptions) -> Result<Vec<Figure8Row>> {
     let mut rows = Vec::new();
     for design in Design::all() {
         let program = design.program()?;
         let start = Instant::now();
-        let mut report = check_program_with(&program, options)?;
+        let mut report = check_program(&program)?;
         let check_time = start.elapsed();
         // Surface the static analyzer's netlist lints on the design's
         // representative top through the component report.
@@ -218,46 +215,8 @@ pub fn figure8_with(options: &CheckOptions) -> Result<Vec<Figure8Row>> {
     Ok(rows)
 }
 
-/// Serializes Figure 8 rows (plus the machine-readable solver stats) as a
-/// JSON document. Superseded by [`run_report_json`] for the CI artifact
-/// (which embeds the same rows as its `figure8` section) but kept for
-/// callers that only want the check-time table.
-pub fn figure8_json(rows: &[Figure8Row]) -> String {
-    let mut out = String::from("{\n");
-    figure8_json_section(&mut out, rows);
-    out.push_str("}\n");
-    out
-}
-
-/// Appends the `"figure8": [...]` section (no trailing comma) to `out`.
-fn figure8_json_section(out: &mut String, rows: &[Figure8Row]) {
-    out.push_str("  \"figure8\": [\n");
-    for (i, row) in rows.iter().enumerate() {
-        let s = &row.solver;
-        out.push_str(&format!(
-            "    {{\"design\": \"{}\", \"lines\": {}, \"check_time_us\": {}, \"obligations\": {}, \
-             \"queries\": {}, \"cache_hits\": {}, \"cache_misses\": {}, \"cache_hit_rate\": {:.3}, \
-             \"cubes\": {}, \"facts_sliced_out\": {}, \"eq_guard_bailouts\": {}, \"lints\": {}}}{}\n",
-            row.design.name().replace('"', "'"),
-            row.lines,
-            row.check_time.as_micros(),
-            row.obligations,
-            s.queries,
-            s.cache_hits,
-            s.cache_misses,
-            s.cache_hit_rate(),
-            s.cubes,
-            s.facts_sliced_out,
-            s.eq_guard_bailouts,
-            row.lints,
-            if i + 1 == rows.len() { "" } else { "," },
-        ));
-    }
-    out.push_str("  ]\n");
-}
-
 // ---------------------------------------------------------------------------
-// Whole-run BENCH report (the machine-readable per-PR perf trajectory)
+// Incremental re-checking
 // ---------------------------------------------------------------------------
 
 /// One row of the incremental re-checking exhibit: a bundled design checked
@@ -270,10 +229,6 @@ pub struct IncrementalRow {
     pub design: Design,
     /// Components the design checks (including the bundled stdlib).
     pub components: usize,
-    /// Wall-clock time of the cold check (every component misses).
-    pub cold_time: Duration,
-    /// Wall-clock time of the warm re-check.
-    pub warm_time: Duration,
     /// Components replayed from the store on the warm pass.
     pub warm_hits: usize,
     /// Components re-checked on the warm pass (diagnostics-bearing verdicts
@@ -281,17 +236,10 @@ pub struct IncrementalRow {
     pub warm_misses: usize,
 }
 
-impl IncrementalRow {
-    /// Warm-pass report-cache hit rate, in `[0, 1]`.
-    pub fn warm_hit_rate(&self) -> f64 {
-        self.warm_hits as f64 / ((self.warm_hits + self.warm_misses) as f64).max(1.0)
-    }
-}
-
 /// Measures content-addressed incremental re-checking
 /// ([`lilac_core::check_program_incremental`]) on every bundled design:
 /// one cold check to populate the verdict store, one warm re-check of the
-/// same program to measure the replay.
+/// same program to count the replays.
 ///
 /// # Errors
 ///
@@ -302,17 +250,11 @@ pub fn incremental_report() -> Result<Vec<IncrementalRow>> {
     for design in Design::all() {
         let program = design.program()?;
         let mut prior = lilac_core::PriorReports::new();
-        let start = Instant::now();
         let cold = lilac_core::check_program_incremental(&program, &options, &mut prior)?;
-        let cold_time = start.elapsed();
-        let start = Instant::now();
         let warm = lilac_core::check_program_incremental(&program, &options, &mut prior)?;
-        let warm_time = start.elapsed();
         rows.push(IncrementalRow {
             design,
             components: cold.hits + cold.misses,
-            cold_time,
-            warm_time,
             warm_hits: warm.hits,
             warm_misses: warm.misses,
         });
@@ -320,192 +262,55 @@ pub fn incremental_report() -> Result<Vec<IncrementalRow>> {
     Ok(rows)
 }
 
-/// One row of the static-analysis lint exhibit: a target of the canonical
-/// lint surface (`lilac_fuzz::lint::targets`) with its findings bucketed
-/// by severity. The same surface CI's lint-smoke step diffs against the
-/// golden baseline, summarized per target for the trajectory artifact.
-#[derive(Clone, Debug)]
-pub struct LintRow {
-    /// Stable target name (baseline key).
-    pub target: String,
-    /// Warning-severity findings.
-    pub warnings: usize,
-    /// Note-severity findings.
-    pub notes: usize,
-}
+// ---------------------------------------------------------------------------
+// The deterministic report (checked in as `tests/report_baseline.txt`)
+// ---------------------------------------------------------------------------
 
-/// Runs the static analyzer's lint pass over the canonical surface —
-/// bundled designs, LA/LI wrapper glue, pinned corpus — and summarizes
-/// each target's findings by severity.
+/// Renders the deterministic report: every count behind Figure 8, the
+/// optimizer's node counts on [`paper_netlists`] and the warm-recheck
+/// replays of [`incremental_report`], one line per row and no wall clock.
+/// All of it is a pure function of the repository, so the report is
+/// checked in and diffed byte for byte by `tests/report_baseline.rs`.
 ///
 /// # Errors
 ///
-/// Propagates elaboration or analysis errors from the lint surface (none
-/// expected on a clean tree).
-pub fn lint_rows() -> Result<Vec<LintRow>> {
-    let targets = lilac_fuzz::lint::targets().map_err(lilac_util::diag::LilacError::msg)?;
-    let mut rows = Vec::new();
-    for target in &targets {
-        let lints =
-            lilac_fuzz::lint::lint_target(target).map_err(lilac_util::diag::LilacError::msg)?;
-        rows.push(LintRow {
-            target: target.name.clone(),
-            warnings: lints
-                .iter()
-                .filter(|l| l.severity == lilac_util::diag::DiagnosticKind::Warning)
-                .count(),
-            notes: lints
-                .iter()
-                .filter(|l| l.severity == lilac_util::diag::DiagnosticKind::Note)
-                .count(),
-        });
-    }
-    Ok(rows)
-}
-
-/// Everything one benchmark run measures, in machine-readable form: the
-/// per-PR perf trajectory CI serializes to `BENCH_figure8.json` via
-/// [`run_report_json`]. Check-time comes from the Figure 8 rows, node
-/// counts from the optimizer, fmax from the retimer's timing model, the
-/// incremental hit-rate from the content-addressed re-checker, and the
-/// lint counts from the static known-bits/interval analysis.
-#[derive(Clone, Debug)]
-pub struct RunReport {
-    /// Figure 8: per-design type-check time and solver effort.
-    pub figure8: Vec<Figure8Row>,
-    /// Per-netlist optimizer node counts (no simulation timing — the cheap
-    /// stats-only pass, suitable for every CI run).
-    pub netlists: Vec<(&'static str, lilac_opt::OptStats)>,
-    /// Per-netlist retiming fmax deltas.
-    pub retiming: Vec<RetimeRow>,
-    /// Per-design incremental re-checking hit rates.
-    pub incremental: Vec<IncrementalRow>,
-    /// Per-target static-analysis lint counts over the canonical surface.
-    pub lints: Vec<LintRow>,
-    /// Sharded-campaign throughput, signature histogram, and distilled size.
-    pub campaign: CampaignBench,
-}
-
-/// Assembles a [`RunReport`] around already-measured Figure 8 rows (so the
-/// `figure8` binary measures the check times exactly once).
-///
-/// # Errors
-///
-/// Propagates parse/type-check/elaboration errors (none expected).
-pub fn run_report(figure8: Vec<Figure8Row>) -> Result<RunReport> {
-    let netlists = paper_netlists()?
-        .iter()
-        .map(|(name, netlist)| (*name, lilac_opt::optimize_with_stats(netlist).1))
-        .collect();
-    Ok(RunReport {
-        figure8,
-        netlists,
-        retiming: retiming_report(1)?,
-        incremental: incremental_report()?,
-        lints: lint_rows()?,
-        // Small fixed budget: big enough for a meaningful signature
-        // histogram and per-shard cases/s, small enough for every CI run.
-        campaign: campaign_bench(120, 0, 2),
-    })
-}
-
-/// Serializes a [`RunReport`] as the `BENCH_*.json` artifact: one JSON
-/// document with `figure8`, `netlists`, `retiming`, `incremental`, `lints`,
-/// and `campaign` sections, stable field names, and times in integer
-/// microseconds — so per-PR trajectories diff cleanly.
-pub fn run_report_json(report: &RunReport) -> String {
-    let mut out = String::from("{\n  \"schema\": \"lilac-bench-run/v1\",\n");
-    figure8_json_section(&mut out, &report.figure8);
-    out.push_str(",\n  \"netlists\": [\n");
-    for (i, (name, s)) in report.netlists.iter().enumerate() {
+/// Propagates parse, type-check or elaboration errors (none expected).
+pub fn report() -> Result<String> {
+    let mut out = String::new();
+    for row in figure8()? {
+        let s = &row.solver;
         out.push_str(&format!(
-            "    {{\"netlist\": \"{}\", \"nodes_before\": {}, \"nodes_after\": {}, \
-             \"node_reduction\": {:.3}, \"sequential_before\": {}, \"sequential_after\": {}}}{}\n",
-            name.replace('"', "'"),
-            s.nodes_before,
-            s.nodes_after,
-            s.node_reduction(),
-            s.sequential_before,
-            s.sequential_after,
-            if i + 1 == report.netlists.len() { "" } else { "," },
+            "figure8 {:?}: lines={} obligations={} queries={} cache_hits={} cache_misses={} \
+             cubes={} facts_sliced_out={} eq_guard_bailouts={} lints={}\n",
+            row.design.name(),
+            row.lines,
+            row.obligations,
+            s.queries,
+            s.cache_hits,
+            s.cache_misses,
+            s.cubes,
+            s.facts_sliced_out,
+            s.eq_guard_bailouts,
+            row.lints,
         ));
     }
-    out.push_str("  ],\n  \"retiming\": [\n");
-    for (i, row) in report.retiming.iter().enumerate() {
+    for (name, netlist) in paper_netlists()? {
+        let s = lilac_opt::optimize_with_stats(&netlist).1;
         out.push_str(&format!(
-            "    {{\"netlist\": \"{}\", \"fmax_before_mhz\": {:.3}, \"fmax_after_mhz\": {:.3}, \
-             \"fmax_gain_pct\": {:.3}, \"moves\": {}, \"latency_preserved\": {}}}{}\n",
-            row.design.replace('"', "'"),
-            row.fmax_before_mhz,
-            row.fmax_after_mhz,
-            row.stats.fmax_gain_pct(),
-            row.stats.moves(),
-            row.latency_preserved,
-            if i + 1 == report.retiming.len() { "" } else { "," },
+            "opt {name:?}: nodes={}→{} sequential={}→{}\n",
+            s.nodes_before, s.nodes_after, s.sequential_before, s.sequential_after,
         ));
     }
-    out.push_str("  ],\n  \"incremental\": [\n");
-    for (i, row) in report.incremental.iter().enumerate() {
+    for row in incremental_report()? {
         out.push_str(&format!(
-            "    {{\"design\": \"{}\", \"components\": {}, \"cold_check_us\": {}, \
-             \"warm_check_us\": {}, \"warm_hits\": {}, \"warm_misses\": {}, \
-             \"warm_hit_rate\": {:.3}}}{}\n",
-            row.design.name().replace('"', "'"),
+            "incremental {:?}: components={} warm_hits={} warm_misses={}\n",
+            row.design.name(),
             row.components,
-            row.cold_time.as_micros(),
-            row.warm_time.as_micros(),
             row.warm_hits,
             row.warm_misses,
-            row.warm_hit_rate(),
-            if i + 1 == report.incremental.len() { "" } else { "," },
         ));
     }
-    out.push_str("  ],\n  \"lints\": [\n");
-    for (i, row) in report.lints.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"target\": \"{}\", \"warnings\": {}, \"notes\": {}}}{}\n",
-            row.target.replace('"', "'"),
-            row.warnings,
-            row.notes,
-            if i + 1 == report.lints.len() { "" } else { "," },
-        ));
-    }
-    let c = &report.campaign;
-    out.push_str("  ],\n  \"campaign\": {\n");
-    out.push_str(&format!(
-        "    \"cases\": {}, \"seed\": {}, \"shards\": {}, \"elapsed_us\": {}, \
-         \"cases_per_sec\": {:.3}, \"fingerprint\": \"{:016x}\", \"distilled_cases\": {},\n",
-        c.cases,
-        c.seed,
-        c.shards,
-        c.elapsed.as_micros(),
-        c.cases_per_sec,
-        c.fingerprint,
-        c.distilled,
-    ));
-    out.push_str("    \"shard_rows\": [\n");
-    for (i, s) in c.shard_rows.iter().enumerate() {
-        out.push_str(&format!(
-            "      {{\"shard\": {}, \"start\": {}, \"cases\": {}, \"elapsed_us\": {}, \
-             \"cases_per_sec\": {:.3}}}{}\n",
-            s.shard,
-            s.start,
-            s.cases,
-            (s.elapsed_secs * 1e6) as u64,
-            s.cases_per_sec,
-            if i + 1 == c.shard_rows.len() { "" } else { "," },
-        ));
-    }
-    out.push_str("    ],\n    \"signatures\": [\n");
-    for (i, (sig, count)) in c.signatures.iter().enumerate() {
-        out.push_str(&format!(
-            "      {{\"signature\": \"{sig}\", \"cases\": {count}, \"bits\": \"{}\"}}{}\n",
-            sig.describe(),
-            if i + 1 == c.signatures.len() { "" } else { "," },
-        ));
-    }
-    out.push_str("    ]\n  }\n}\n");
-    out
+    Ok(out)
 }
 
 // ---------------------------------------------------------------------------
@@ -687,66 +492,6 @@ pub fn fuzz_throughput(cases: u64, seed: u64) -> FuzzThroughputRow {
     }
 }
 
-/// The sharded campaign as a benchmark row: whole-run and per-shard
-/// throughput, the coverage-signature histogram, and the distilled-corpus
-/// size — the `BENCH_*.json` section that tells us whether sharding is
-/// actually converting the compiled simulator's and incremental checker's
-/// wins into whole-run fuzz throughput.
-#[derive(Clone, Debug)]
-pub struct CampaignBench {
-    /// Cases run.
-    pub cases: u64,
-    /// Base seed.
-    pub seed: u64,
-    /// Shard count.
-    pub shards: usize,
-    /// Wall-clock time for the whole campaign (merge included).
-    pub elapsed: Duration,
-    /// `cases / elapsed`.
-    pub cases_per_sec: f64,
-    /// Merged fingerprint (byte-identical to the sequential driver's).
-    pub fingerprint: u64,
-    /// Per-shard throughput rows.
-    pub shard_rows: Vec<lilac_fuzz::campaign::ShardReport>,
-    /// Coverage-signature histogram (signature → cases), in signature order.
-    pub signatures: Vec<(lilac_fuzz::CoverageSignature, u64)>,
-    /// Size of the distilled corpus (one case per distinct signature).
-    pub distilled: usize,
-}
-
-/// Runs a sharded fuzzing campaign for a fixed budget and reports
-/// throughput, the signature histogram, and the distilled-corpus size.
-///
-/// # Panics
-///
-/// Panics if any oracle disagrees — like [`fuzz_throughput`], a benchmark
-/// run is also a correctness run.
-pub fn campaign_bench(cases: u64, seed: u64, shards: usize) -> CampaignBench {
-    let config = lilac_fuzz::campaign::CampaignConfig {
-        fuzz: lilac_fuzz::FuzzConfig { cases, seed, ..lilac_fuzz::FuzzConfig::default() },
-        shards,
-    };
-    let start = Instant::now();
-    let result = lilac_fuzz::campaign::run_campaign(&config);
-    let elapsed = start.elapsed();
-    assert!(
-        result.summary.failures.is_empty(),
-        "fuzz oracles disagreed during the campaign benchmark: {:#?}",
-        result.summary.failures
-    );
-    CampaignBench {
-        cases: result.summary.cases,
-        seed,
-        shards,
-        elapsed,
-        cases_per_sec: result.summary.cases as f64 / elapsed.as_secs_f64().max(1e-9),
-        fingerprint: result.summary.fingerprint,
-        shard_rows: result.shards,
-        signatures: result.summary.signatures.iter().map(|(&sig, &n)| (sig, n)).collect(),
-        distilled: result.distilled.len(),
-    }
-}
-
 // ---------------------------------------------------------------------------
 // The netlist optimizer (lilac-opt) on the paper designs
 // ---------------------------------------------------------------------------
@@ -770,7 +515,7 @@ pub struct OptRow {
     pub sim_speedup: f64,
 }
 
-/// The netlists the optimizer exhibit (and `figure8 --check`) measures: the
+/// The netlists the optimizer, retiming and report exhibits measure: the
 /// elaborated paper designs plus the hand-built LA/LI system netlists of
 /// Table 1 / Figure 13.
 ///
@@ -973,8 +718,8 @@ pub struct RetimeRow {
     /// Estimated fmax after retiming, MHz.
     pub fmax_after_mhz: f64,
     /// Whether every output's minimum input-to-output register count is
-    /// unchanged (must always be true; recorded so `figure8 --check` and
-    /// the tests can assert it from the row).
+    /// unchanged (must always be true; recorded so the tests can assert it
+    /// from the row).
     pub latency_preserved: bool,
     /// Wall-clock time of one `retime` run (minimum over reps).
     pub retime_time: Duration,
@@ -996,8 +741,7 @@ pub fn retiming_report(reps: usize) -> Result<Vec<RetimeRow>> {
     let mut rows = Vec::new();
     for (design, netlist) in paper_netlists()? {
         // The stats-producing run doubles as the first timed rep, so
-        // `retiming_report(1)` — the `figure8 --check` path — pays for
-        // exactly one retime per design.
+        // `retiming_report(1)` pays for exactly one retime per design.
         let start = Instant::now();
         let (retimed, stats) = lilac_opt::retime_with_stats(&netlist);
         let mut retime_time = start.elapsed();
@@ -1335,70 +1079,6 @@ mod tests {
             assert!(row.obligations > 0, "{:?}", row.design);
             assert!(row.solver.queries > 0, "{:?}", row.design);
         }
-        let json = figure8_json(&rows);
-        assert!(json.contains("\"figure8\""));
-        assert!(json.contains("cache_hit_rate"));
-        assert_eq!(json.matches("\"design\"").count(), rows.len());
-    }
-
-    #[test]
-    fn run_report_carries_every_section_and_warm_rechecks_hit() {
-        let figure8_rows = figure8().unwrap();
-        let designs = figure8_rows.len();
-        let report = run_report(figure8_rows).unwrap();
-        assert_eq!(report.figure8.len(), designs);
-        assert!(!report.netlists.is_empty());
-        assert!(!report.retiming.is_empty());
-        assert_eq!(report.incremental.len(), designs);
-        for row in &report.incremental {
-            assert_eq!(row.warm_hits + row.warm_misses, row.components, "{:?}", row.design);
-            assert!(row.warm_hits > 0, "{:?}: warm re-check replayed nothing", row.design);
-        }
-        // At least one bundled design is fully clean, so its identical warm
-        // re-check must be a complete replay.
-        assert!(
-            report.incremental.iter().any(|r| r.warm_misses == 0),
-            "no design achieved a 100% warm hit rate"
-        );
-        // The lint section covers the whole canonical surface and is
-        // populated: the never-stall wrapper glue carries the documented
-        // skid-buffer findings.
-        assert!(report.lints.len() > designs, "lint surface wider than the designs alone");
-        assert!(
-            report.lints.iter().any(|r| r.warnings + r.notes > 0),
-            "no lint target reported any finding"
-        );
-        // The campaign section reports a real sharded run: a nonzero
-        // fingerprint, one row per shard covering the whole range, a
-        // populated signature histogram and a distilled subset no larger
-        // than the signature count.
-        assert_eq!(report.campaign.shards, 2);
-        assert_ne!(report.campaign.fingerprint, 0);
-        assert_eq!(report.campaign.shard_rows.len(), 2);
-        assert_eq!(
-            report.campaign.shard_rows.iter().map(|s| s.cases).sum::<u64>(),
-            report.campaign.cases
-        );
-        assert!(!report.campaign.signatures.is_empty());
-        assert_eq!(report.campaign.distilled, report.campaign.signatures.len());
-        let json = run_report_json(&report);
-        assert!(json.contains("\"schema\": \"lilac-bench-run/v1\""));
-        for section in [
-            "\"figure8\"",
-            "\"netlists\"",
-            "\"retiming\"",
-            "\"incremental\"",
-            "\"lints\"",
-            "\"campaign\"",
-        ] {
-            assert!(json.contains(section), "missing section {section}");
-        }
-        assert!(json.contains("warm_hit_rate"));
-        assert!(json.contains("fmax_after_mhz"));
-        assert!(json.contains("nodes_after"));
-        assert!(json.contains("\"notes\""));
-        assert!(json.contains("\"shard_rows\""));
-        assert!(json.contains("\"distilled_cases\""));
     }
 
     #[test]
@@ -1489,8 +1169,7 @@ mod tests {
     fn optimizer_meets_reduction_and_speedup_targets() {
         let rows = optimizer_report(2000, 3).unwrap();
         assert_eq!(rows.len(), 5);
-        // The optimizer must never grow a design (the contract `figure8
-        // --check` also enforces in CI).
+        // The optimizer must never grow a design.
         for row in &rows {
             assert!(
                 row.stats.nodes_after <= row.stats.nodes_before,

@@ -1156,6 +1156,19 @@ impl CompBuilder {
         }
         let mut driver_map = HashMap::new();
         for (port, driver) in child.netlist.inputs.iter().zip(drivers.iter()) {
+            // The checker does not prove widths, so an ill-width connection
+            // reaches here; reject it before `Netlist::inline` would panic.
+            let got = self.netlist.node(*driver).width;
+            if got != port.width {
+                return Err(err(
+                    format!(
+                        "instance `{}` of `{}`: input `{}` is driven by a {got}-bit signal but \
+                         the port is {} bit(s) wide",
+                        inst.unique_name, inst.comp, port.name, port.width
+                    ),
+                    inst.span,
+                ));
+            }
             driver_map.insert(port.name.clone(), *driver);
         }
         let outputs = self.netlist.inline(&child.netlist, &driver_map, &inst.unique_name);

@@ -217,6 +217,22 @@ fn undriven_output_is_an_elaboration_error() {
 }
 
 #[test]
+fn ill_width_instance_input_is_an_elaboration_error() {
+    // The checker does not prove widths, so this program checks; the
+    // 4-bit driver into `Reg[1]`'s 1-bit input must then be a positioned
+    // elaboration error rather than a panic inside `Netlist::inline`.
+    let src = r#"
+    extern comp Reg[#W]<G:1>(in: [G, G+1] #W) -> (out: [G+1, G+2] #W);
+    comp Top[#W]<G:1>(a: [G, G+1] #W) -> (o: [G+1, G+2] #W) { r := new Reg[1]<G>(a); o = r.out; }
+    "#;
+    let (prog, _) = parse_program("w.lilac", src).unwrap();
+    check_program(&prog).unwrap();
+    let err = elaborate(&prog, "Top", &params(&[("W", 4)]), &ElabConfig::default()).unwrap_err();
+    let msg = err.to_string();
+    assert!(msg.contains("`in`") && msg.contains("4-bit") && msg.contains("1 bit"), "{msg}");
+}
+
+#[test]
 fn verilog_emission_of_elaborated_design() {
     let src = format!("{STDLIB}\n{FPU}");
     let (prog, _) = parse_program("fpu.lilac", &src).unwrap();

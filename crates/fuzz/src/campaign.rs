@@ -52,7 +52,7 @@ pub struct CampaignConfig {
 }
 
 /// Per-shard throughput and session statistics, for the stderr campaign
-/// report and the `BENCH_*.json` campaign section.
+/// report.
 #[derive(Clone, Debug)]
 pub struct ShardReport {
     /// Shard index (0-based; shard `i` covers a contiguous index range).

@@ -76,7 +76,7 @@ use scenario::generate;
 /// caches, faults, degradations — never contributes a bit), so replaying a
 /// case in any context recomputes the same signature. The campaign runner
 /// distills its corpus by keeping the first case of every distinct
-/// signature, and `BENCH_*.json` reports the signature histogram.
+/// signature (`fuzz/corpus/distilled/` pins the 200-case seed-0 set).
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Default)]
 pub struct CoverageSignature(pub u32);
 

@@ -1,9 +1,9 @@
 //! The canonical lint surface.
 //!
 //! One list of netlists, shared by everything that reports static-analysis
-//! lints: `lilac-fuzz --lint`, the `lints` section of the `BENCH_*.json`
-//! artifact, the CI lint-smoke golden baseline, and the bugfix-sweep
-//! triage. Three families of targets:
+//! lints: `lilac-fuzz --lint`, the golden baseline
+//! (`crates/fuzz/tests/lint_baseline.txt`, also diffed by CI's lint
+//! smoke), the Figure 8 `lints` column, and the bugfix-sweep triage. Three families of targets:
 //!
 //! 1. the eight bundled designs, each elaborated at a representative top
 //!    and width;

@@ -692,7 +692,7 @@ impl Netlist {
     /// path's total register count, so this vector is a *retiming
     /// invariant*: `retime(n).output_min_latencies() ==
     /// n.output_min_latencies()` is the latency-preservation contract the
-    /// seventh differential oracle (and `figure8 --check`) pins.
+    /// seventh differential oracle (and `lilac-bench`'s retiming tests) pin.
     pub fn output_min_latencies(&self) -> Vec<(String, Option<u64>)> {
         // Dijkstra over the operand graph read consumer-ward, with per-node
         // weight `pipeline_depth` (all weights >= 0): reaching a consumer
