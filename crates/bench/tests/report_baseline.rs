@@ -34,6 +34,10 @@ fn query_cache_and_warm_rechecks_carry_weight() {
     let hits: usize = rows.iter().map(|r| r.solver.cache_hits).sum();
     let queries: usize = rows.iter().map(|r| r.solver.queries).sum();
     assert!(hits > 0, "the query cache never hit ({hits}/{queries} queries)");
+    assert!(
+        rows.iter().any(|r| r.solver.cache_hit_rate() > 0.5),
+        "no design exceeds a 50% query-cache hit rate"
+    );
 
     let rows = lilac_bench::incremental_report().unwrap();
     for row in &rows {

@@ -129,3 +129,28 @@ fn retiming_decisions_are_pinned_on_real_designs() {
         .collect();
     assert_eq!(actual.as_slice(), PINNED, "retiming decisions changed; computed table:\n{table}");
 }
+
+#[test]
+fn retiming_is_sound_and_finds_wins() {
+    // Whatever the pinned decisions are: retiming never changes a latency
+    // and never lengthens the critical path, and at least one real design
+    // moves registers for a >10% fmax gain (the elaborated GBP's blend
+    // lanes rebalance).
+    let mut wins = 0;
+    for (name, netlist) in netlists() {
+        let (retimed, stats) = retime_with_stats(&netlist);
+        assert_eq!(
+            retimed.output_min_latencies(),
+            netlist.output_min_latencies(),
+            "{name}: latency must not change"
+        );
+        assert!(
+            stats.critical_path_after_ns <= stats.critical_path_before_ns + 1e-9,
+            "{name}: critical path grew: {stats:?}"
+        );
+        if stats.moves() >= 1 && stats.fmax_gain_pct() > 10.0 {
+            wins += 1;
+        }
+    }
+    assert!(wins >= 1, "no design gains >10% fmax from retiming");
+}

@@ -160,7 +160,8 @@ impl Default for CheckOptions {
 impl CheckOptions {
     /// The pre-optimization path: serial checking, a naive solver (no
     /// slicing, no caching), and cloned fact snapshots instead of indexed
-    /// scopes. The benchmark harness's A/B baseline.
+    /// scopes. The reference the differential oracles compare the default
+    /// path against, and the path the service retries on.
     pub fn naive() -> CheckOptions {
         CheckOptions {
             parallel: false,

@@ -90,26 +90,10 @@ pub struct ServiceConfig {
     pub faults: FaultPlan,
 }
 
-impl ServiceConfig {
-    /// Specializes this configuration for shard `shard` of a multi-service
-    /// campaign: every on-disk cache path is suffixed with the shard index
-    /// (via [`shard_cache_path`]) so N concurrent services never race on one
-    /// image, while shard 0 of a one-shard campaign keeps the unsuffixed
-    /// paths a sequential run would use — its cache files stay
-    /// interchangeable with the sequential driver's.
-    #[must_use]
-    pub fn for_shard(mut self, shard: usize) -> ServiceConfig {
-        if shard > 0 {
-            self.cache_path = self.cache_path.map(|p| shard_cache_path(&p, shard));
-            self.report_cache_path = self.report_cache_path.map(|p| shard_cache_path(&p, shard));
-        }
-        self
-    }
-}
-
 /// The per-shard variant of a persistent cache path: `cache.bin` becomes
-/// `cache.bin.shard3` for shard 3. Shard 0 keeps the original path (see
-/// [`ServiceConfig::for_shard`]).
+/// `cache.bin.shard3` for shard 3, so concurrent shard services never race
+/// on one image. Shard 0 keeps the original path, so a one-shard campaign's
+/// cache files stay interchangeable with the sequential driver's.
 #[must_use]
 pub fn shard_cache_path(path: &std::path::Path, shard: usize) -> PathBuf {
     if shard == 0 {
@@ -715,7 +699,7 @@ thread_local! {
 /// previously installed hook. Without this, every budget expiry and
 /// injected fault would spray a "thread panicked" report (and, under
 /// `RUST_BACKTRACE`, a full backtrace) onto stderr, drowning real
-/// diagnostics in a fuzzing or soak run. Nothing is lost for genuine bugs:
+/// diagnostics in a fuzzing or benchmark run. Nothing is lost for genuine bugs:
 /// the payload is captured by `catch_unwind` and surfaced as a structured
 /// [`CheckError`] either way.
 fn install_quiet_panic_hook() {

@@ -123,21 +123,26 @@ impl QueryBudget {
     }
 }
 
-/// Tunable resource limits and feature toggles for the solver.
+/// Maximum number of DNF cubes to expand before giving up.
+const MAX_CUBES: usize = 256;
+/// Maximum number of variables Fourier–Motzkin elimination will handle.
+const MAX_FM_VARS: usize = 24;
+/// Maximum number of inequalities produced during elimination.
+const MAX_FM_ROWS: usize = 4096;
+/// Maximum number of atoms considered during counterexample search.
+const MAX_ENUM_ATOMS: usize = 6;
+/// Largest candidate value used during counterexample search.
+const ENUM_DOMAIN_MAX: i64 = 9;
+/// Maximum number of assignments tried during counterexample search.
+const MAX_ENUM_ASSIGNMENTS: usize = 400_000;
+/// Base step bound for equality elimination inside a cube; the effective
+/// bound also scales with the cube size so large-but-honest cubes are not
+/// cut off.
+const EQ_ELIM_GUARD: usize = 256;
+
+/// Feature toggles and the optional shared cache and budget of a solver.
 #[derive(Clone, Debug)]
 pub struct SolverConfig {
-    /// Maximum number of DNF cubes to expand before giving up.
-    pub max_cubes: usize,
-    /// Maximum number of variables Fourier–Motzkin elimination will handle.
-    pub max_fm_vars: usize,
-    /// Maximum number of inequalities produced during elimination.
-    pub max_fm_rows: usize,
-    /// Maximum number of atoms considered during counterexample search.
-    pub max_enum_atoms: usize,
-    /// Largest candidate value used during counterexample search.
-    pub enum_domain_max: i64,
-    /// Maximum number of assignments tried during counterexample search.
-    pub max_enum_assignments: usize,
     /// Restrict each query to the facts transitively connected to the goal
     /// (see the private `slice` module); the disconnected residue is only
     /// consulted through a cached consistency check.
@@ -151,10 +156,6 @@ pub struct SolverConfig {
     /// concurrently-running components would make per-component hit/miss
     /// statistics depend on thread scheduling.
     pub shared_cache: Option<SharedCache>,
-    /// Base step bound for equality elimination inside a cube; the effective
-    /// bound also scales with the cube size so large-but-honest cubes are not
-    /// cut off.
-    pub eq_elim_guard: usize,
     /// Optional cooperative resource budget charged once per query. `None`
     /// (the default) costs one branch per query. See [`QueryBudget`]: an
     /// exhausted budget aborts the attempt by unwinding, it never changes
@@ -164,25 +165,13 @@ pub struct SolverConfig {
 
 impl Default for SolverConfig {
     fn default() -> Self {
-        SolverConfig {
-            max_cubes: 256,
-            max_fm_vars: 24,
-            max_fm_rows: 4096,
-            max_enum_atoms: 6,
-            enum_domain_max: 9,
-            max_enum_assignments: 400_000,
-            slicing: true,
-            caching: true,
-            shared_cache: None,
-            eq_elim_guard: 256,
-            budget: None,
-        }
+        SolverConfig { slicing: true, caching: true, shared_cache: None, budget: None }
     }
 }
 
 impl SolverConfig {
-    /// The pre-optimization configuration: no slicing, no caching. Used by
-    /// the benchmark harness as the A/B baseline.
+    /// The pre-optimization configuration: no slicing, no caching (the
+    /// solver half of `CheckOptions::naive` in `lilac-core`).
     pub fn naive() -> SolverConfig {
         SolverConfig { slicing: false, caching: false, ..SolverConfig::default() }
     }
@@ -804,7 +793,7 @@ impl Solver {
             fact_ids.iter().all(|&id| matches!(self.facts.pred(id), Pred::Le(_) | Pred::Eq(_)));
         if all_literals {
             let negated = goal.clone().negate().to_nnf();
-            let Some(goal_cubes) = negated.to_dnf(self.config.max_cubes) else {
+            let Some(goal_cubes) = negated.to_dnf(MAX_CUBES) else {
                 return Outcome::Unknown;
             };
             if goal_cubes.is_empty() {
@@ -953,7 +942,7 @@ impl Solver {
     }
 
     fn check_sat_internal(&mut self, formula: &Pred, want_model: bool) -> SatResult {
-        let Some(cubes) = formula.to_dnf(self.config.max_cubes) else {
+        let Some(cubes) = formula.to_dnf(MAX_CUBES) else {
             return SatResult::Unknown;
         };
         if cubes.is_empty() {
@@ -1014,7 +1003,7 @@ impl Solver {
         // exists; the rest become paired inequalities. The step bound scales
         // with the cube so legitimately large cubes are not cut off, and a
         // bailout is counted instead of vanishing silently.
-        let guard_limit = self.config.eq_elim_guard.max(4 * cube.len());
+        let guard_limit = EQ_ELIM_GUARD.max(4 * cube.len());
         let mut pending = equalities;
         let mut guard = 0;
         while let Some(eq) = pending.pop() {
@@ -1048,7 +1037,7 @@ impl Solver {
         }
 
         // 4. Fourier–Motzkin elimination over the rationals.
-        match fourier_motzkin(&rows, &self.config, &mut self.stats.fm_combines) {
+        match fourier_motzkin(&rows, &mut self.stats.fm_combines) {
             FmResult::Infeasible => return SatResult::Unsat,
             FmResult::Feasible => {}
             FmResult::Unknown => return SatResult::Unknown,
@@ -1060,7 +1049,7 @@ impl Solver {
         }
 
         // 5. Bounded integer model search on the saturated literals.
-        match find_model(&saturated, &self.config, &mut self.stats.enum_assignments) {
+        match find_model(&saturated, &mut self.stats.enum_assignments) {
             Some(model) => SatResult::Sat(model),
             None => SatResult::Unknown,
         }
@@ -1302,7 +1291,7 @@ enum FmResult {
 }
 
 /// Decides rational feasibility of `rows` (each row is `expr <= 0`).
-fn fourier_motzkin(rows: &[LinExpr], config: &SolverConfig, combines: &mut usize) -> FmResult {
+fn fourier_motzkin(rows: &[LinExpr], combines: &mut usize) -> FmResult {
     // Collect the top-level terms used as variables.
     let mut vars: BTreeSet<Term> = BTreeSet::new();
     for r in rows {
@@ -1310,7 +1299,7 @@ fn fourier_motzkin(rows: &[LinExpr], config: &SolverConfig, combines: &mut usize
             vars.insert(t.clone());
         }
     }
-    if vars.len() > config.max_fm_vars {
+    if vars.len() > MAX_FM_VARS {
         return FmResult::Unknown;
     }
     let mut rows: Vec<LinExpr> = rows.to_vec();
@@ -1344,7 +1333,7 @@ fn fourier_motzkin(rows: &[LinExpr], config: &SolverConfig, combines: &mut usize
                     Some(_) => {}
                     None => rest.push(combined),
                 }
-                if rest.len() > config.max_fm_rows {
+                if rest.len() > MAX_FM_ROWS {
                     return FmResult::Unknown;
                 }
             }
@@ -1368,7 +1357,7 @@ fn fourier_motzkin(rows: &[LinExpr], config: &SolverConfig, combines: &mut usize
 
 /// Searches for a small non-negative integer assignment satisfying every
 /// literal in `lits`.
-fn find_model(lits: &[Pred], config: &SolverConfig, tried: &mut usize) -> Option<Model> {
+fn find_model(lits: &[Pred], tried: &mut usize) -> Option<Model> {
     // Atoms to assign: every top-level term. Interpreted applications are
     // computed from their arguments, so they are excluded when all their
     // argument terms are themselves assigned.
@@ -1401,12 +1390,12 @@ fn find_model(lits: &[Pred], config: &SolverConfig, tried: &mut usize) -> Option
     // nested terms inside an application's arguments are still assigned if
     // they are variables, which is what `collect_terms` produced above.
     let atoms: Vec<Term> = atoms.into_iter().collect();
-    if atoms.len() > config.max_enum_atoms {
+    if atoms.len() > MAX_ENUM_ATOMS {
         return None;
     }
 
     // Candidate domain: small naturals plus constants appearing in literals.
-    let mut domain: BTreeSet<i64> = (0..=config.enum_domain_max).collect();
+    let mut domain: BTreeSet<i64> = (0..=ENUM_DOMAIN_MAX).collect();
     for lit in lits {
         let e = match lit {
             Pred::Eq(e) | Pred::Le(e) => e,
@@ -1422,12 +1411,12 @@ fn find_model(lits: &[Pred], config: &SolverConfig, tried: &mut usize) -> Option
     let domain: Vec<i64> = domain.into_iter().collect();
 
     let total: f64 = (domain.len() as f64).powi(atoms.len() as i32);
-    if total > config.max_enum_assignments as f64 {
+    if total > MAX_ENUM_ASSIGNMENTS as f64 {
         // Shrink: fall back to the small-naturals domain only.
-        let small: Vec<i64> = (0..=config.enum_domain_max).collect();
-        return enumerate(&atoms, &small, lits, config.max_enum_assignments, tried);
+        let small: Vec<i64> = (0..=ENUM_DOMAIN_MAX).collect();
+        return enumerate(&atoms, &small, lits, MAX_ENUM_ASSIGNMENTS, tried);
     }
-    enumerate(&atoms, &domain, lits, config.max_enum_assignments, tried)
+    enumerate(&atoms, &domain, lits, MAX_ENUM_ASSIGNMENTS, tried)
 }
 
 fn enumerate(
