@@ -37,7 +37,7 @@ use lilac_solver::{
 };
 use lilac_util::diag::{CheckError, Diagnostic, ErrorReporter, LilacError, Result};
 use lilac_util::intern::Symbol;
-use lilac_util::par::{par_map, WorkerPanic};
+use lilac_util::par::WorkerPanic;
 use lilac_util::span::Span;
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
@@ -106,9 +106,8 @@ impl CheckReport {
         self.components.iter().find(|c| c.name.as_str() == name)
     }
 
-    /// Aggregated solver statistics across all components. Per-component
-    /// stats are summed in component order, so the result is deterministic
-    /// under the parallel checker.
+    /// Aggregated solver statistics across all components, summed in
+    /// component order.
     pub fn solver_stats(&self) -> SolverStats {
         self.components.iter().fold(SolverStats::default(), |acc, c| acc.merged(c.solver_stats))
     }
@@ -132,10 +131,8 @@ impl CheckReport {
 /// Knobs controlling how a whole program is checked.
 #[derive(Clone, Debug)]
 pub struct CheckOptions {
-    /// Let a check with at least [`FAN_OUT_MIN_COMPONENTS`] components to
-    /// check run them on worker threads. Fewer components, and every check
-    /// when this is off, run on the caller's thread. Reports are merged in
-    /// component order either way.
+    /// Has no effect: every component is checked on the caller's thread,
+    /// in component order. Kept so existing struct literals still compile.
     pub parallel: bool,
     /// Solver configuration used for every component.
     pub solver_config: SolverConfig,
@@ -158,10 +155,10 @@ impl Default for CheckOptions {
 }
 
 impl CheckOptions {
-    /// The pre-optimization path: serial checking, a naive solver (no
-    /// slicing, no caching), and cloned fact snapshots instead of indexed
-    /// scopes. The reference the differential oracles compare the default
-    /// path against, and the path the service retries on.
+    /// The pre-optimization path: a naive solver (no slicing, no caching)
+    /// and cloned fact snapshots instead of indexed scopes. The reference
+    /// the differential oracles compare the default path against, and the
+    /// path the service retries on.
     pub fn naive() -> CheckOptions {
         CheckOptions {
             parallel: false,
@@ -172,7 +169,8 @@ impl CheckOptions {
 }
 
 /// Type-checks a whole program with default options (sliced + cached
-/// solver, indexed scopes, large programs' components in parallel).
+/// solver, indexed scopes), one component after another on the caller's
+/// thread.
 ///
 /// # Errors
 ///
@@ -182,13 +180,6 @@ impl CheckOptions {
 pub fn check_program(program: &Program) -> Result<CheckReport> {
     check_program_with(program, &CheckOptions::default())
 }
-
-/// Fewest components left to check before a whole-program check (plain or
-/// incremental) fans them out over worker threads. Fuzz-sized programs (one
-/// to five small components) lose more to thread spawns and joins than the
-/// fan-out saves, so they are checked on the caller's thread; the bundled
-/// designs (seven to fourteen components) are checked in parallel.
-pub const FAN_OUT_MIN_COMPONENTS: usize = 6;
 
 /// Type-checks a whole program under explicit [`CheckOptions`].
 ///
@@ -234,10 +225,9 @@ pub fn check_program_incremental(
 
 /// The one whole-program checking path. Builds the component library; with
 /// a `store`, hashes every component and replays the hits; checks the rest
-/// under panic isolation, fanning them out over worker threads when
-/// `options.parallel` is set and at least [`FAN_OUT_MIN_COMPONENTS`] are
-/// left to check; admits the clean fresh verdicts; and folds the verdict.
-/// Without a store nothing is hashed and every component is checked.
+/// in component order on the caller's thread under panic isolation; admits
+/// the clean fresh verdicts; and folds the verdict. Without a store nothing
+/// is hashed and every component is checked.
 fn check_against(
     program: &Program,
     options: &CheckOptions,
@@ -258,25 +248,14 @@ fn check_against(
             None => (None, None),
         })
         .collect();
-    let pending: Vec<&Module> = modules
+    let hits = keyed.iter().filter(|(_, replay)| replay.is_some()).count();
+    let misses = modules.len() - hits;
+    let components = modules
         .iter()
-        .zip(&keyed)
-        .filter(|(_, (_, replay))| replay.is_none())
-        .map(|(module, _)| *module)
-        .collect();
-    let (hits, misses) = (modules.len() - pending.len(), pending.len());
-    let check = |module: &&Module| check_isolated(&lib, module, options);
-    let mut fresh = if options.parallel && pending.len() >= FAN_OUT_MIN_COMPONENTS {
-        par_map(&pending, check)
-    } else {
-        pending.iter().map(check).collect()
-    }
-    .into_iter();
-    let components = keyed
-        .into_iter()
-        .map(|(hash, replay)| {
+        .zip(keyed)
+        .map(|(module, (hash, replay))| {
             replay.unwrap_or_else(|| {
-                let report = fresh.next().expect("one fresh report per miss");
+                let report = check_isolated(&lib, module, options);
                 if let (Some(store), Some(hash)) = (store.as_deref_mut(), hash) {
                     store.insert(hash, &report);
                 }
@@ -305,7 +284,7 @@ fn check_isolated(
 /// Folds per-component reports into a whole-program verdict: the report
 /// when no component has an error diagnostic, otherwise every error
 /// diagnostic in component order. Every whole-program checking path folds
-/// through this, the `lilac-service` pool included.
+/// through this, `lilac-service`'s included.
 pub fn verdict(components: Vec<ComponentReport>) -> Result<CheckReport> {
     let errors: Vec<Diagnostic> = components
         .iter()
@@ -1908,9 +1887,8 @@ mod tests {
     /// tear down the process — and components are isolated from each other.
     #[test]
     fn exhausted_budget_becomes_a_diagnostic_not_a_process_panic() {
-        // The stdlib alone is checked on the caller's thread; with `extra`
-        // one-register components the program is big enough to fan out.
-        for extra in [0, FAN_OUT_MIN_COMPONENTS] {
+        // The stdlib alone, and the stdlib plus six one-register components.
+        for extra in [0, 6] {
             let passes: String = (0..extra)
                 .map(|k| {
                     format!(

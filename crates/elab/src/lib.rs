@@ -58,6 +58,7 @@ use lilac_util::diag::{Diagnostic, LilacError, Result};
 use lilac_util::intern::Symbol;
 use lilac_util::span::Span;
 use std::collections::{BTreeMap, HashMap};
+use std::rc::Rc;
 
 /// Configuration for elaboration.
 #[derive(Clone, Debug, Default)]
@@ -138,9 +139,12 @@ pub fn elaborate_module(
     config: &ElabConfig,
 ) -> Result<ElabModule> {
     let lib = CompLibrary::build(program)?;
-    let mut elab = Elaborator { lib: &lib, config, memo: HashMap::new() };
     let args: BTreeMap<Symbol, u64> = params.iter().map(|(k, v)| (Symbol::intern(k), *v)).collect();
-    let mut module = elab.elaborate(Symbol::intern(top), &args, 0, Span::dummy())?;
+    let mut elab = Elaborator { lib: &lib, config, memo: HashMap::new() };
+    let module = elab.elaborate(Symbol::intern(top), &args, 0, Span::dummy())?;
+    // Dropping the memo leaves the top unshared, so it is moved, not cloned.
+    drop(elab);
+    let mut module = Rc::unwrap_or_clone(module);
     if config.optimize {
         // The opt-in hook: the flattened top-level netlist is rewritten by
         // the pass pipeline (cycle-exactness is the optimizer's contract,
@@ -161,8 +165,13 @@ pub fn elaborate_module(
 struct Elaborator<'a> {
     lib: &'a CompLibrary<'a>,
     config: &'a ElabConfig,
-    memo: HashMap<(Symbol, Vec<(Symbol, u64)>), ElabModule>,
+    /// Elaborated components by name and arguments. Shared, not cloned, on
+    /// a hit: callers mostly read only `out_params` or output names.
+    memo: HashMap<MemoKey, Rc<ElabModule>>,
 }
+
+/// A component name and its argument values, in parameter-name order.
+type MemoKey = (Symbol, Vec<(Symbol, u64)>);
 
 fn err(msg: impl Into<String>, span: Span) -> LilacError {
     LilacError::new(Diagnostic::error(msg, span))
@@ -175,7 +184,7 @@ impl<'a> Elaborator<'a> {
         args: &BTreeMap<Symbol, u64>,
         depth: usize,
         span: Span,
-    ) -> Result<ElabModule> {
+    ) -> Result<Rc<ElabModule>> {
         if depth > self.config.max_depth.max(8) {
             return Err(err(
                 format!("instantiation of `{name}` exceeds the maximum elaboration depth (cycle in the instantiation graph?)"),
@@ -184,16 +193,16 @@ impl<'a> Elaborator<'a> {
         }
         let key = (name, args.iter().map(|(k, v)| (*k, *v)).collect::<Vec<_>>());
         if let Some(cached) = self.memo.get(&key) {
-            return Ok(cached.clone());
+            return Ok(Rc::clone(cached));
         }
         let module =
             self.lib.get(name).ok_or_else(|| err(format!("unknown component `{name}`"), span))?;
-        let result = match &module.kind {
+        let result = Rc::new(match &module.kind {
             ModuleKind::Extern { .. } => self.elaborate_extern(module, args, span)?,
             ModuleKind::Gen { tool } => self.elaborate_gen(module, tool, args, span)?,
             ModuleKind::Comp { body } => self.elaborate_comp(module, body, args, depth, span)?,
-        };
-        self.memo.insert(key, result.clone());
+        });
+        self.memo.insert(key, Rc::clone(&result));
         Ok(result)
     }
 
@@ -467,7 +476,7 @@ impl<'a> Elaborator<'a> {
             InstanceElab {
                 comp,
                 args: env.instances[&unique].args.clone(),
-                out_params: child.out_params,
+                out_params: child.out_params.clone(),
             },
         );
         builder.instances.push(PendingInstance {
@@ -535,9 +544,9 @@ impl<'a> Elaborator<'a> {
         // The callee's bundle-port sizes may be its own output parameters
         // (e.g. Aetherling's `in[#N]`), so evaluate dimensions with the
         // child's elaborated bindings in scope.
-        let child_out_params = self.elaborate(comp, &arg_map, depth + 1, span)?.out_params;
+        let child = self.elaborate(comp, &arg_map, depth + 1, span)?;
         let mut dim_params = arg_map.clone();
-        for (k, v) in &child_out_params {
+        for (k, v) in &child.out_params {
             dim_params.insert(Symbol::intern(k), *v);
         }
         let mut flattened: Vec<String> = Vec::new();
@@ -567,10 +576,9 @@ impl<'a> Elaborator<'a> {
             }
             if inv_unique != unique {
                 // Alias every flattened output. The child's elaboration is
-                // memoized, so this lookup is cheap, and it knows the true
-                // element counts even when a dimension depends on one of the
-                // child's own output parameters.
-                let child = self.elaborate(comp, &arg_map, depth + 1, span)?;
+                // memoized, so it knows the true element counts even when a
+                // dimension depends on one of the child's own output
+                // parameters.
                 let impl_names: Vec<String> =
                     child.netlist.outputs.iter().map(|(p, _)| p.name.clone()).collect();
                 let mut flat_sig_names: Vec<String> = Vec::new();

@@ -11,8 +11,8 @@
 //!   reproduces any case regardless of how many shards observed it.
 //! - **One engine set per shard.** Each shard runs on its own
 //!   `lilac-util::par` worker with its own [`Session`] — its own
-//!   [`SharedCache`], its own [`CheckService`](lilac_service::CheckService)
-//!   worker pool, and (under `--cache`) its own shard-suffixed cache image
+//!   [`SharedCache`], its own [`CheckService`](lilac_service::CheckService),
+//!   and (under `--cache`) its own shard-suffixed cache image
 //!   ([`lilac_service::shard_cache_path`]) — so shards never contend on a
 //!   lock and never race on a file.
 //! - **Deterministic merge.** Shard outcomes are folded in global case-index

@@ -43,8 +43,8 @@
 //!    round-trip through `lilac-vsim` to the same values. This is the
 //!    oracle that pins the first pass that rewrites *where state lives*
 //!    rather than collapsing it.
-//! 8. **Fault-tolerant service** — the long-lived [`CheckService`] (its own
-//!    worker pool, persistent on-disk cache, deadline budgets, and — when
+//! 8. **Fault-tolerant service** — the long-lived [`CheckService`] (its
+//!    persistent on-disk cache, deadline budgets, and — when
 //!    the fuzzer is run with `--faults` — a seeded [`FaultPlan`] injecting
 //!    worker panics, forced deadline expiries, and budget exhaustion) must
 //!    reach exactly the naive checker's verdict on every case. Degradation
@@ -138,7 +138,7 @@ pub struct CaseStats {
 /// cache (itself under test — a stale or colliding entry would make the
 /// warm configuration diverge from the cold one) and the long-lived
 /// [`CheckService`] behind the eighth oracle, with its own persistent
-/// cache, worker pool, and (optionally) seeded fault plan.
+/// cache and (optionally) seeded fault plan.
 #[derive(Default)]
 pub struct Session {
     shared: Option<SharedCache>,
@@ -172,7 +172,6 @@ impl Session {
             None => FaultPlan::disabled(),
         };
         let config = ServiceConfig {
-            workers: 2,
             // Thousands of cases with ~1/8 fault density: sleeping between
             // ladder attempts would dominate the run for no extra coverage.
             backoff: Duration::ZERO,

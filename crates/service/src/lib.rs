@@ -10,8 +10,6 @@
 //!
 //! [`CheckService`] provides that shape:
 //!
-//! * **Persistent workers** — component checks run on a work-stealing
-//!   [`pool::WorkerPool`] that outlives any single request.
 //! * **Panic isolation** — every check unit runs under `catch_unwind`; a
 //!   checker bug (or an injected fault) is contained to its component.
 //! * **Deadlines with graceful degradation** — each unit gets a
@@ -23,7 +21,7 @@
 //! * **Content-addressed replay** — [`CheckService::check_incremental`]
 //!   replays clean component verdicts from a bounded [`PriorReports`] store,
 //!   the same store [`lilac_core::check_program_incremental`] threads, and
-//!   sends only the misses to the pool. [`CheckService::check`] is the same
+//!   checks only the misses. [`CheckService::check`] is the same
 //!   serving path without the store, and both fold their verdict with the
 //!   one-shot checker's [`lilac_core::verdict`].
 //! * **Crash-safe cache persistence** — the shared solver cache and the
@@ -36,10 +34,12 @@
 //!   verdict*: faults are only ever armed on the optimized first attempt,
 //!   so the naive fallback always supplies the same answer the naive
 //!   checker would.
+//!
+//! Every unit runs on the thread that submitted the request, in component
+//! order. The service is `Sync`: concurrent callers share its caches and
+//! counters, and each request runs on its own caller's thread.
 
-pub mod pool;
-
-use lilac_ast::{ModuleKind, Program};
+use lilac_ast::{Module, ModuleKind, Program};
 use lilac_core::{
     check_component_with, component_hash, verdict, CheckOptions, CheckReport, CompLibrary,
     ComponentHash, ComponentReport, PriorReports,
@@ -56,15 +56,14 @@ use std::cell::Cell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
-
-use pool::WorkerPool;
 
 /// Configuration for a [`CheckService`].
 #[derive(Clone, Debug)]
 pub struct ServiceConfig {
-    /// Worker threads in the persistent pool.
+    /// Ignored: every unit runs on the thread that submitted the request.
+    /// Kept so existing struct literals still compile.
     pub workers: usize,
     /// Deadline budget per check unit on the optimized first attempt
     /// (`None` disables deadlines).
@@ -107,7 +106,7 @@ pub fn shard_cache_path(path: &std::path::Path, shard: usize) -> PathBuf {
 impl Default for ServiceConfig {
     fn default() -> ServiceConfig {
         ServiceConfig {
-            workers: std::thread::available_parallelism().map_or(2, std::num::NonZero::get),
+            workers: 1,
             deadline: Some(Duration::from_secs(30)),
             retries: 2,
             backoff: Duration::from_millis(10),
@@ -231,7 +230,6 @@ pub struct CacheRecycle {
 /// seeded fault schedule, every verdict equals the naive checker's.
 pub struct CheckService {
     config: ServiceConfig,
-    pool: WorkerPool,
     /// The live shared cache. Behind a mutex (not just the cache's internal
     /// one) so [`CheckService::recycle_cache`] can atomically swap in a
     /// reloaded or cold instance.
@@ -249,16 +247,22 @@ pub struct CheckService {
     /// deterministically as long as requests are submitted in a
     /// deterministic order.
     site_counter: AtomicU64,
-    counters: Arc<Counters>,
+    counters: Counters,
 }
 
+// Concurrent callers share one service, each on its own thread.
+const _: () = {
+    const fn assert_sync<T: Sync>() {}
+    assert_sync::<CheckService>();
+};
+
 impl CheckService {
-    /// Starts a service: spawns the worker pool and, when
-    /// [`ServiceConfig::cache_path`] is set, restores the shared cache from
-    /// disk — quarantining a corrupt image rather than failing.
+    /// Starts a service: when [`ServiceConfig::cache_path`] is set,
+    /// restores the shared cache from disk — quarantining a corrupt image
+    /// rather than failing.
     pub fn new(config: ServiceConfig) -> CheckService {
         install_quiet_panic_hook();
-        let counters = Arc::new(Counters::default());
+        let counters = Counters::default();
         let (shared, cache_status) =
             restore(&counters, config.cache_path.as_deref(), SharedCache::load_or_quarantine);
         let (reports, report_cache_status) = restore(
@@ -267,7 +271,6 @@ impl CheckService {
             PriorReports::load_or_quarantine,
         );
         CheckService {
-            pool: WorkerPool::new(config.workers),
             shared: Mutex::new(shared),
             cache_status,
             reports: Mutex::new(reports),
@@ -319,11 +322,11 @@ impl CheckService {
         }
     }
 
-    /// Checks one program on the persistent pool.
+    /// Checks one program on the caller's thread.
     ///
     /// Program-level validation (duplicate components, unknown references
-    /// caught by [`CompLibrary::build`]) happens inline; each component then
-    /// becomes one pool unit run through the degradation ladder. The
+    /// caught by [`CompLibrary::build`]) happens first; each component then
+    /// becomes one unit run through the degradation ladder. The
     /// verdict has the same shape and contents as
     /// [`lilac_core::check_program_with`] — fault tolerance changes *how*
     /// the answer is computed, never the answer. The report cache is
@@ -333,8 +336,8 @@ impl CheckService {
     }
 
     /// Checks one program, replaying stored clean verdicts from the
-    /// content-addressed report cache instead of re-dispatching their
-    /// components to the pool.
+    /// content-addressed report cache instead of re-checking their
+    /// components.
     ///
     /// Each component is addressed by its [`ComponentHash`] — a canonical,
     /// alpha- and location-invariant hash of its module plus the signatures
@@ -357,15 +360,15 @@ impl CheckService {
 
     /// The one serving path behind [`CheckService::check`] and (with
     /// `incremental`) [`CheckService::check_incremental`]: validate the
-    /// library inline, replay report-cache hits when incremental, run every
-    /// other component on the pool, admit the fresh clean verdicts when
-    /// incremental, and fold the verdict with [`lilac_core::verdict`]. The
-    /// report-cache lock is never held while units run.
+    /// library, replay report-cache hits when incremental, run every other
+    /// component through [`run_unit`] in component order, admit the fresh
+    /// clean verdicts when incremental, and fold the verdict with
+    /// [`lilac_core::verdict`]. The report-cache lock is never held while
+    /// units run.
     fn serve(&self, program: &Program, incremental: bool) -> ServiceOutcome {
         let start = Instant::now();
         self.counters.programs.fetch_add(1, Ordering::Relaxed);
-        // Validate the program shape once, inline: library errors are not a
-        // component's fault and take no ladder.
+        // Library errors are not a component's fault and take no ladder.
         let lib = match CompLibrary::build(program) {
             Ok(lib) => lib,
             Err(e) => {
@@ -376,68 +379,62 @@ impl CheckService {
                 }
             }
         };
-        let comps: Vec<(Symbol, Option<ComponentHash>)> = lib
+        let comps: Vec<(&Module, Option<ComponentHash>)> = lib
             .iter()
             .filter(|m| matches!(m.kind, ModuleKind::Comp { .. }))
-            .map(|m| (m.name(), incremental.then(|| component_hash(&lib, m))))
+            .map(|m| (m, incremental.then(|| component_hash(&lib, m))))
             .collect();
-        let mut slots: Vec<Option<(ComponentReport, Vec<CheckError>)>> =
-            comps.iter().map(|_| None).collect();
-        if incremental {
+        // Every lookup happens before any fresh verdict is admitted, so a
+        // request's hit count never depends on its own misses.
+        let replays: Vec<Option<ComponentReport>> = if incremental {
             let reports = self.reports.lock().expect("report cache poisoned");
-            for (slot, (name, hash)) in slots.iter_mut().zip(&comps) {
-                *slot = hash.and_then(|h| reports.lookup(h, *name)).map(|hit| (hit, Vec::new()));
-            }
-            let hits = slots.iter().flatten().count() as u64;
+            comps
+                .iter()
+                .map(|(module, hash)| hash.and_then(|h| reports.lookup(h, module.name())))
+                .collect()
+        } else {
+            comps.iter().map(|_| None).collect()
+        };
+        let misses = replays.iter().filter(|replay| replay.is_none()).count() as u64;
+        if incremental {
+            let hits = comps.len() as u64 - misses;
             self.counters.report_hits.fetch_add(hits, Ordering::Relaxed);
-            self.counters.report_misses.fetch_add(comps.len() as u64 - hits, Ordering::Relaxed);
+            self.counters.report_misses.fetch_add(misses, Ordering::Relaxed);
         }
-        let pending: Vec<usize> = (0..comps.len()).filter(|&i| slots[i].is_none()).collect();
-        if !pending.is_empty() {
-            let program = Arc::new(program.clone());
-            let cache = self.shared.lock().expect("cache handle poisoned").clone();
-            let (tx, rx) = mpsc::channel::<(usize, ComponentReport, Vec<CheckError>)>();
-            for &index in &pending {
-                // Sites are assigned at submission time on the calling
-                // thread, so a deterministic request stream addresses
-                // deterministic sites regardless of worker scheduling.
-                let site = self.site_counter.fetch_add(1, Ordering::Relaxed);
-                let unit = UnitContext {
-                    program: Arc::clone(&program),
-                    component: comps[index].0,
-                    config: self.config.clone(),
-                    cache: cache.clone(),
-                    counters: Arc::clone(&self.counters),
-                    site,
-                };
-                let tx = tx.clone();
-                self.pool.submit(Box::new(move || {
-                    let (report, degradations) = run_unit(&unit);
-                    // The receiver only disappears if the requester's thread
-                    // panicked; dropping the result is then correct.
-                    let _ = tx.send((index, report, degradations));
-                }));
-            }
-            drop(tx);
-            let received: Vec<_> = rx.into_iter().collect();
-            if incremental {
-                let mut reports = self.reports.lock().expect("report cache poisoned");
-                for (index, report, _) in &received {
-                    if let Some(hash) = comps[*index].1 {
-                        reports.insert(hash, report);
-                    }
-                }
-            }
-            for (index, report, degradations) in received {
-                slots[index] = Some((report, degradations));
-            }
-        }
-        let mut components = Vec::with_capacity(slots.len());
+        let cache = self.shared.lock().expect("cache handle poisoned").clone();
+        // One block of consecutive fault sites per request, numbered in
+        // component order, so a deterministic request stream addresses
+        // deterministic sites.
+        let mut site = self.site_counter.fetch_add(misses, Ordering::Relaxed);
         let mut degradations = Vec::new();
-        for slot in slots {
-            let (report, errs) = slot.expect("every unit reports exactly once");
-            degradations.extend(errs);
-            components.push(report);
+        let mut fresh = Vec::new();
+        let components: Vec<ComponentReport> = comps
+            .iter()
+            .zip(replays)
+            .enumerate()
+            .map(|(index, (&(module, hash), replay))| {
+                replay.unwrap_or_else(|| {
+                    let unit = UnitContext {
+                        lib: &lib,
+                        module,
+                        config: &self.config,
+                        cache: &cache,
+                        counters: &self.counters,
+                        site,
+                    };
+                    site += 1;
+                    let (report, errors) = run_unit(&unit);
+                    degradations.extend(errors);
+                    fresh.extend(hash.map(|hash| (hash, index)));
+                    report
+                })
+            })
+            .collect();
+        if !fresh.is_empty() {
+            let mut reports = self.reports.lock().expect("report cache poisoned");
+            for (hash, index) in fresh {
+                reports.insert(hash, &components[index]);
+            }
         }
         ServiceOutcome { verdict: verdict(components), degradations, elapsed: start.elapsed() }
     }
@@ -457,13 +454,13 @@ impl CheckService {
         cache.save(path).map(Some)
     }
 
-    /// Simulates a netlist on the persistent pool through the compiled
-    /// [`SimBackend`].
+    /// Simulates a netlist through the compiled [`SimBackend`] on the
+    /// caller's thread.
     ///
     /// Every port access goes through the fallible `try_` surface, so a
     /// request naming a port the module does not have comes back as a
     /// structured [`CheckErrorKind::BadRequest`] error — one rejected
-    /// response, not a poisoned worker. Genuine backend panics are still
+    /// response, not a poisoned service. Genuine backend panics are still
     /// contained by `catch_unwind`, exactly like check units.
     ///
     /// # Errors
@@ -476,26 +473,14 @@ impl CheckService {
         request: &SimRequest,
     ) -> Result<SimTrace, CheckError> {
         self.counters.sim_requests.fetch_add(1, Ordering::Relaxed);
-        let netlist = Arc::new(netlist.clone());
-        let request = request.clone();
-        let (tx, rx) = mpsc::channel::<Result<SimTrace, CheckError>>();
-        self.pool.submit(Box::new(move || {
-            PANIC_QUIET.with(|quiet| quiet.set(true));
-            let result = catch_unwind(AssertUnwindSafe(|| run_sim_unit(&netlist, &request)));
-            PANIC_QUIET.with(|quiet| quiet.set(false));
-            let outcome = result.unwrap_or_else(|payload| {
-                Err(CheckError::new(
-                    CheckErrorKind::WorkerPanic,
-                    Severity::Transient,
-                    WorkerPanic::from_payload(&*payload).message,
-                )
-                .for_component(netlist.name.as_str()))
-            });
-            // The receiver only disappears if the requester's thread
-            // panicked; dropping the result is then correct.
-            let _ = tx.send(outcome);
-        }));
-        let outcome = rx.recv().expect("sim unit reports exactly once");
+        let outcome = quietly(|| run_sim_unit(netlist, request)).unwrap_or_else(|payload| {
+            Err(CheckError::new(
+                CheckErrorKind::WorkerPanic,
+                Severity::Transient,
+                WorkerPanic::from_payload(&*payload).message,
+            )
+            .for_component(netlist.name.as_str()))
+        });
         if matches!(&outcome, Err(e) if e.kind == CheckErrorKind::BadRequest) {
             self.counters.bad_requests.fetch_add(1, Ordering::Relaxed);
         }
@@ -590,19 +575,19 @@ fn run_sim_unit(netlist: &Netlist, request: &SimRequest) -> Result<SimTrace, Che
     Ok(SimTrace { values })
 }
 
-/// Everything one pool unit needs, moved into its job closure.
-struct UnitContext {
-    program: Arc<Program>,
-    component: Symbol,
-    config: ServiceConfig,
-    cache: SharedCache,
-    counters: Arc<Counters>,
+/// Everything one unit borrows from its request and its service.
+struct UnitContext<'a> {
+    lib: &'a CompLibrary<'a>,
+    module: &'a Module,
+    config: &'a ServiceConfig,
+    cache: &'a SharedCache,
+    counters: &'a Counters,
     site: u64,
 }
 
 /// Runs one component through the degradation ladder. Returns the report
 /// plus every degradation event encountered on the way.
-fn run_unit(unit: &UnitContext) -> (ComponentReport, Vec<CheckError>) {
+fn run_unit(unit: &UnitContext<'_>) -> (ComponentReport, Vec<CheckError>) {
     unit.counters.units.fetch_add(1, Ordering::Relaxed);
     let mut degradations: Vec<CheckError> = Vec::new();
 
@@ -626,7 +611,7 @@ fn run_unit(unit: &UnitContext) -> (ComponentReport, Vec<CheckError>) {
     match attempt(unit, &optimized, inject_panic) {
         Ok(report) => return (report, degradations),
         Err(error) => {
-            record_first_failure(&unit.counters, &error);
+            record_first_failure(unit.counters, &error);
             degradations.push(error);
         }
     }
@@ -649,7 +634,7 @@ fn run_unit(unit: &UnitContext) -> (ComponentReport, Vec<CheckError>) {
                     Severity::Recoverable,
                     format!("verdict supplied by naive fallback after: {}", cause.detail),
                 )
-                .for_component(unit.component.as_str())
+                .for_component(unit.module.name().as_str())
                 .at_attempt(retry);
                 degradations.push(marker.clone());
                 report.degraded = Some(marker);
@@ -671,11 +656,11 @@ fn run_unit(unit: &UnitContext) -> (ComponentReport, Vec<CheckError>) {
             degradations.last().map_or("unknown failure", |e| e.detail.as_str())
         ),
     )
-    .for_component(unit.component.as_str())
+    .for_component(unit.module.name().as_str())
     .at_attempt(unit.config.retries);
     degradations.push(fatal.clone());
     let report = ComponentReport {
-        name: unit.component,
+        name: unit.module.name(),
         obligations: 0,
         proved: 0,
         diagnostics: vec![fatal.to_diagnostic()],
@@ -714,27 +699,29 @@ fn install_quiet_panic_hook() {
     });
 }
 
+/// Runs `f` under `catch_unwind` with this thread's panic reports silenced
+/// (see [`install_quiet_panic_hook`]).
+fn quietly<R>(f: impl FnOnce() -> R) -> std::thread::Result<R> {
+    let was_quiet = PANIC_QUIET.with(|quiet| quiet.replace(true));
+    let result = catch_unwind(AssertUnwindSafe(f));
+    PANIC_QUIET.with(|quiet| quiet.set(was_quiet));
+    result
+}
+
 /// One ladder rung: checks the unit's component under `options` inside
 /// `catch_unwind`, classifying any panic into a structured [`CheckError`].
 fn attempt(
-    unit: &UnitContext,
+    unit: &UnitContext<'_>,
     options: &CheckOptions,
     inject_panic: bool,
 ) -> Result<ComponentReport, CheckError> {
-    PANIC_QUIET.with(|quiet| quiet.set(true));
-    let result = catch_unwind(AssertUnwindSafe(|| {
+    quietly(|| {
         if inject_panic {
             std::panic::panic_any(InjectedPanic { site: unit.site });
         }
-        let lib = CompLibrary::build(&unit.program).expect("validated by the caller");
-        let module = lib
-            .iter()
-            .find(|m| m.name() == unit.component)
-            .expect("component enumerated by the caller");
-        check_component_with(&lib, module, options)
-    }));
-    PANIC_QUIET.with(|quiet| quiet.set(false));
-    result.map_err(|payload| classify(&*payload, unit.component))
+        check_component_with(unit.lib, unit.module, options)
+    })
+    .map_err(|payload| classify(&*payload, unit.module.name()))
 }
 
 /// Maps a panic payload to the structured error taxonomy.
@@ -790,9 +777,8 @@ mod tests {
     use lilac_designs::Design;
     use lilac_util::Span;
 
-    fn quiet_config(workers: usize) -> ServiceConfig {
+    fn quiet_config() -> ServiceConfig {
         ServiceConfig {
-            workers,
             // No backoff in tests: the ladder's sleep is irrelevant to the
             // properties under test.
             backoff: Duration::ZERO,
@@ -802,23 +788,11 @@ mod tests {
 
     #[test]
     fn service_matches_oneshot_checker_on_bundled_designs() {
-        let service = CheckService::new(quiet_config(2));
+        let service = CheckService::new(quiet_config());
         for design in Design::all() {
             let program = design.program().expect("bundled design parses");
             let outcome = service.check(&program);
-            let oneshot = check_program_with(&program, &CheckOptions::default());
-            match (&outcome.verdict, &oneshot) {
-                (Ok(a), Ok(b)) => {
-                    assert!(a.equivalent(b), "{design:?}: service and one-shot reports differ");
-                }
-                (Err(_), Err(_)) => {}
-                (a, b) => panic!(
-                    "{design:?}: service said {} but one-shot said {}",
-                    if a.is_ok() { "ok" } else { "err" },
-                    if b.is_ok() { "ok" } else { "err" },
-                ),
-            }
-            assert!(outcome.degradations.is_empty(), "no faults armed, no degradations");
+            assert_matches_oneshot(design, &program, &outcome);
         }
         let stats = service.stats();
         assert_eq!(stats.programs, Design::all().len() as u64);
@@ -826,9 +800,59 @@ mod tests {
         assert_eq!(stats.failed_units, 0);
     }
 
+    /// Asserts that a fault-free service `outcome` carries the one-shot
+    /// checker's verdict on `program` and no degradations.
+    fn assert_matches_oneshot(design: Design, program: &Program, outcome: &ServiceOutcome) {
+        let oneshot = check_program_with(program, &CheckOptions::default());
+        match (&outcome.verdict, &oneshot) {
+            (Ok(a), Ok(b)) => {
+                assert!(a.equivalent(b), "{design:?}: service and one-shot reports differ");
+            }
+            (Err(_), Err(_)) => {}
+            (a, b) => panic!(
+                "{design:?}: service said {} but one-shot said {}",
+                if a.is_ok() { "ok" } else { "err" },
+                if b.is_ok() { "ok" } else { "err" },
+            ),
+        }
+        assert!(outcome.degradations.is_empty(), "no faults armed, no degradations");
+    }
+
+    /// Concurrency comes from callers: two threads share one service, each
+    /// checking its own half of the designs, and every verdict still equals
+    /// the one-shot checker's.
+    #[test]
+    // Two concurrent callers need two threads of their own.
+    #[allow(clippy::disallowed_methods)]
+    fn concurrent_callers_share_one_service() {
+        let service = CheckService::new(quiet_config());
+        let designs = Design::all();
+        let (left, right) = designs.split_at(designs.len() / 2);
+        let start = std::sync::Barrier::new(2);
+        std::thread::scope(|scope| {
+            for half in [left, right] {
+                let (service, start) = (&service, &start);
+                scope.spawn(move || {
+                    start.wait();
+                    for _ in 0..2 {
+                        for &design in half {
+                            let program = design.program().expect("bundled design parses");
+                            let incremental = service.check_incremental(&program);
+                            assert_matches_oneshot(design, &program, &incremental);
+                            assert_matches_oneshot(design, &program, &service.check(&program));
+                        }
+                    }
+                });
+            }
+        });
+        let stats = service.stats();
+        assert_eq!(stats.programs, 4 * designs.len() as u64);
+        assert_eq!(stats.failed_units, 0);
+    }
+
     #[test]
     fn warm_cache_accumulates_across_requests() {
-        let service = CheckService::new(quiet_config(1));
+        let service = CheckService::new(quiet_config());
         let program = Design::Fpu.program().expect("FPU parses");
         service.check(&program);
         let after_first = service.cache_entries();
@@ -844,7 +868,7 @@ mod tests {
             check_program_with(&program, &CheckOptions::naive()).expect("FPU checks clean");
         let mut saw_degradation = false;
         for seed in 0..6u64 {
-            let config = ServiceConfig { faults: FaultPlan::seeded(seed), ..quiet_config(2) };
+            let config = ServiceConfig { faults: FaultPlan::seeded(seed), ..quiet_config() };
             let service = CheckService::new(config);
             for _ in 0..3 {
                 let outcome = service.check(&program);
@@ -867,9 +891,7 @@ mod tests {
         let run = |seed: u64| {
             let service = CheckService::new(ServiceConfig {
                 faults: FaultPlan::seeded(seed),
-                workers: 1,
-                backoff: Duration::ZERO,
-                ..ServiceConfig::default()
+                ..quiet_config()
             });
             let outcome = service.check(&program);
             let kinds: Vec<String> =
@@ -884,7 +906,7 @@ mod tests {
 
     #[test]
     fn recycle_cache_is_a_no_op_without_faults() {
-        let service = CheckService::new(quiet_config(1));
+        let service = CheckService::new(quiet_config());
         let program = Design::Gbp.program().expect("GBP parses");
         service.check(&program);
         let before = service.cache_entries();
@@ -897,7 +919,7 @@ mod tests {
     #[test]
     fn simulate_matches_interpreter_trace() {
         use lilac_ir::NodeKind;
-        let service = CheckService::new(quiet_config(1));
+        let service = CheckService::new(quiet_config());
         let mut n = Netlist::new("svc_sim");
         let a = n.add_input("a", 8);
         let b = n.add_input("b", 8);
@@ -923,10 +945,9 @@ mod tests {
     }
 
     #[test]
-    fn bad_sim_requests_degrade_without_poisoning_workers() {
+    fn bad_sim_requests_degrade_without_poisoning_the_service() {
         use lilac_ir::NodeKind;
-        // One worker: if a bad request poisoned it, nothing else would run.
-        let service = CheckService::new(quiet_config(1));
+        let service = CheckService::new(quiet_config());
         let mut n = Netlist::new("svc_bad");
         let a = n.add_input("a", 4);
         let inv = n.add_node(NodeKind::Not, vec![a], 4, "inv");
@@ -947,8 +968,8 @@ mod tests {
         let err = service.simulate(&n, &bad_output).expect_err("unknown output is rejected");
         assert_eq!(err.kind, CheckErrorKind::BadRequest);
         assert!(err.to_string().contains("no output named `missing`"), "{err}");
-        // The same worker keeps serving — both simulation and check traffic.
-        let trace = service.simulate(&n, &good).expect("worker survived the bad requests");
+        // The service keeps serving — both simulation and check traffic.
+        let trace = service.simulate(&n, &good).expect("service survived the bad requests");
         assert_eq!(trace.values, vec![vec![0xA]]);
         let program = Design::Gbp.program().expect("GBP parses");
         assert!(service.check(&program).is_ok());
@@ -959,7 +980,7 @@ mod tests {
 
     #[test]
     fn library_errors_take_no_ladder() {
-        let service = CheckService::new(quiet_config(1));
+        let service = CheckService::new(quiet_config());
         // Two components with the same name: rejected by CompLibrary::build.
         let (program, _map) = lilac_ast::parse_program(
             "dup.lilac",
@@ -975,7 +996,7 @@ mod tests {
 
     #[test]
     fn incremental_matches_check_and_replays_without_redispatch() {
-        let service = CheckService::new(quiet_config(2));
+        let service = CheckService::new(quiet_config());
         // FPU (plus the stdlib it bundles) checks clean with no diagnostics
         // at all, so every component's verdict is cacheable.
         let program = Design::Fpu.program().expect("FPU parses");
@@ -990,7 +1011,7 @@ mod tests {
             _ => panic!("FPU checks clean on both paths"),
         }
         // Replaying the identical program serves every component from the
-        // report cache: no unit ever reaches the pool.
+        // report cache: no unit runs.
         let units_after_cold = service.stats().units;
         let warm = service.check_incremental(&program);
         let stats = service.stats();
@@ -1023,7 +1044,7 @@ mod tests {
         assert_eq!(warm.misses, 0);
         assert!(effortless(&warm.report), "core replays must report no effort");
 
-        let service = CheckService::new(quiet_config(2));
+        let service = CheckService::new(quiet_config());
         let cold = service.check_incremental(&program).verdict.expect("FPU checks");
         assert!(cold.solver_stats().queries > 0, "the cold check does solver work");
         let warm = service.check_incremental(&program).verdict.expect("FPU checks");
@@ -1044,7 +1065,7 @@ mod tests {
         let bad_src = good_src.replace("new Reg[#W]<G+1>", "new Reg[#W]<G+2>");
         let (good, _map) = lilac_ast::parse_program("good.lilac", good_src).expect("parses");
         let (bad, _map) = lilac_ast::parse_program("bad.lilac", &bad_src).expect("parses");
-        let service = CheckService::new(quiet_config(1));
+        let service = CheckService::new(quiet_config());
         assert!(service.check_incremental(&good).verdict.is_ok(), "baseline checks clean");
         assert_eq!(service.report_cache_len(), 1, "Delay2's clean verdict is cached");
         let outcome = service.check_incremental(&bad);
@@ -1079,7 +1100,7 @@ mod tests {
         let edited_src = base_src.replace("comp Mid[#W]<G:1>", "comp Mid[#W, #Unused = 0]<G:1>");
         let (base, _map) = lilac_ast::parse_program("base.lilac", base_src).expect("parses");
         let (edited, _map) = lilac_ast::parse_program("edited.lilac", &edited_src).expect("parses");
-        let service = CheckService::new(quiet_config(1));
+        let service = CheckService::new(quiet_config());
         assert!(service.check_incremental(&base).verdict.is_ok());
         assert_eq!(service.stats().report_misses, 2);
         assert!(service.check_incremental(&edited).verdict.is_ok());
@@ -1099,7 +1120,7 @@ mod tests {
         let components =
             program.modules.iter().filter(|m| matches!(m.kind, ModuleKind::Comp { .. })).count();
         for seed in 0..4u64 {
-            let config = ServiceConfig { faults: FaultPlan::seeded(seed), ..quiet_config(2) };
+            let config = ServiceConfig { faults: FaultPlan::seeded(seed), ..quiet_config() };
             let service = CheckService::new(config);
             for _ in 0..2 {
                 let outcome = service.check_incremental(&program);
@@ -1124,7 +1145,7 @@ mod tests {
         let path = dir.join("reports.bin");
         let config = |path: &std::path::Path| ServiceConfig {
             report_cache_path: Some(path.to_path_buf()),
-            ..quiet_config(1)
+            ..quiet_config()
         };
         let program = Design::Fpu.program().expect("FPU parses");
         let first = CheckService::new(config(&path));
@@ -1192,14 +1213,14 @@ mod tests {
                 (p, name)
             })
             .collect();
-        let cold_service = CheckService::new(quiet_config(2));
+        let cold_service = CheckService::new(quiet_config());
         cold_service.check(&base);
         let mut cold = 0;
         for (request, _) in &requests {
             let report = cold_service.check(request).verdict.expect("cold request checks");
             cold += report.total_obligations();
         }
-        let warm_service = CheckService::new(quiet_config(2));
+        let warm_service = CheckService::new(quiet_config());
         warm_service.check_incremental(&base);
         let mut warm = 0;
         for (request, edited) in &requests {

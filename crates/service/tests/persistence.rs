@@ -15,9 +15,9 @@ use lilac_solver::SolverStats;
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
-/// A single-worker, zero-backoff service: fully deterministic query counts.
+/// A zero-backoff service: fully deterministic query counts.
 fn config(cache_path: Option<PathBuf>) -> ServiceConfig {
-    ServiceConfig { workers: 1, backoff: Duration::ZERO, cache_path, ..ServiceConfig::default() }
+    ServiceConfig { backoff: Duration::ZERO, cache_path, ..ServiceConfig::default() }
 }
 
 /// Checks every bundled design through `service`, returning per-design

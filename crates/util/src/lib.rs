@@ -9,7 +9,7 @@
 //!   rendering against a [`SourceMap`],
 //! * [`idx`] — strongly-typed index newtypes and dense index maps,
 //! * [`par`] — an order-preserving parallel map over scoped threads with
-//!   per-item panic isolation,
+//!   per-item panic isolation; the one executor, used by campaign shards,
 //! * [`rng`] — a deterministic pseudo-random generator for tests,
 //! * [`fault`] — deterministic seeded fault injection for exercising the
 //!   fault-tolerance machinery.

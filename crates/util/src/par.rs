@@ -5,6 +5,11 @@
 //! items out over the available cores and collect the results *in input
 //! order*, which keeps every downstream report deterministic.
 //!
+//! This is the workspace's one executor, and its one user is the fuzzer's
+//! campaign, which runs each shard on a worker here. Checks run on the
+//! thread that asks for them; the root `clippy.toml` rejects thread spawns
+//! anywhere else.
+//!
 //! Panic isolation: [`try_par_map`] runs every item under
 //! [`std::panic::catch_unwind`], so one poisoned item cannot kill the worker
 //! that happened to pick it up — the worker records the panic as a
@@ -79,6 +84,8 @@ where
     let next = AtomicUsize::new(0);
     let slots: Vec<Mutex<Option<Result<R, WorkerPanic>>>> =
         items.iter().map(|_| Mutex::new(None)).collect();
+    // The one place that starts threads: see the module docs.
+    #[allow(clippy::disallowed_methods)]
     std::thread::scope(|scope| {
         for _ in 0..workers {
             scope.spawn(|| loop {
