@@ -117,11 +117,6 @@ impl AbsValue {
         }
     }
 
-    /// True when this fact carries no information beyond the width mask.
-    pub fn is_top(&self) -> bool {
-        *self == AbsValue::top(self.width)
-    }
-
     /// True if `self` is at least as precise as `other` (pointwise: knows a
     /// superset of the bits and a subinterval). Used by the optimizer
     /// monotonicity property test.

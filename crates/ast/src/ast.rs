@@ -476,11 +476,6 @@ impl Signature {
         self.out_params.iter().find(|p| p.name.name == name)
     }
 
-    /// Looks up an input parameter position by name.
-    pub fn param_index(&self, name: Symbol) -> Option<usize> {
-        self.params.iter().position(|p| p.name.name == name)
-    }
-
     /// Looks up an event by name.
     pub fn event(&self, name: Symbol) -> Option<&EventDecl> {
         self.events.iter().find(|e| e.name.name == name)

@@ -187,7 +187,7 @@ pub fn check_program(program: &Program) -> Result<CheckReport> {
 ///
 /// See [`check_program`].
 pub fn check_program_with(program: &Program, options: &CheckOptions) -> Result<CheckReport> {
-    check_against(program, options, None).map(|checked| checked.report)
+    check_against(program, None, |lib, module| check_isolated(lib, module, options)).verdict
 }
 
 /// What [`check_program_incremental`] did: the report plus hit/miss counts.
@@ -220,50 +220,74 @@ pub fn check_program_incremental(
     options: &CheckOptions,
     prior: &mut PriorReports,
 ) -> Result<IncrementalReport> {
-    check_against(program, options, Some(prior))
+    let checked =
+        check_against(program, Some(&*prior), |lib, module| check_isolated(lib, module, options));
+    let (hits, misses) = (checked.hits, checked.misses);
+    checked.verdict.map(|report| IncrementalReport { report, hits, misses })
 }
 
-/// The one whole-program checking path. Builds the component library; with
-/// a `store`, hashes every component and replays the hits; checks the rest
-/// in component order on the caller's thread under panic isolation; admits
-/// the clean fresh verdicts; and folds the verdict. Without a store nothing
-/// is hashed and every component is checked.
-fn check_against(
+/// What [`check_against`] did: the whole-program verdict, plus how many
+/// components it replayed from the store and how many it checked. The
+/// counts are kept when the verdict is an error; a library error counts
+/// neither.
+#[derive(Debug)]
+pub struct Checked {
+    /// `Ok` with the per-component reports in module order, or `Err` with
+    /// the library error or every component error diagnostic.
+    pub verdict: Result<CheckReport>,
+    /// Components whose verdict was replayed from the store.
+    pub hits: usize,
+    /// Components handed to the per-component check.
+    pub misses: usize,
+}
+
+/// The one whole-program checking body. Builds the component library; with
+/// a `store`, hashes every component and looks every one up before
+/// admitting anything, so a request's hit count never depends on its own
+/// misses; runs `check` on each miss in component order on the caller's
+/// thread; admits the clean fresh verdicts; and folds the verdict. Without
+/// a store nothing is hashed and every component is checked.
+///
+/// `check` decides how one component is checked: the plain entry points
+/// pass [`check_component_with`] under panic isolation, and
+/// `lilac-service` passes its degradation ladder. The store locks only
+/// inside a lookup or an insert, never while `check` runs, so concurrent
+/// callers can share one store.
+pub fn check_against(
     program: &Program,
-    options: &CheckOptions,
-    mut store: Option<&mut PriorReports>,
-) -> Result<IncrementalReport> {
-    let lib = CompLibrary::build(program)?;
-    let modules: Vec<&Module> =
-        lib.iter().filter(|m| matches!(m.kind, ModuleKind::Comp { .. })).collect();
-    // Every lookup happens before any fresh verdict is admitted, so a
-    // request's hit count never depends on its own misses.
-    let keyed: Vec<(Option<ComponentHash>, Option<ComponentReport>)> = modules
+    store: Option<&PriorReports>,
+    mut check: impl FnMut(&CompLibrary<'_>, &Module) -> ComponentReport,
+) -> Checked {
+    let lib = match CompLibrary::build(program) {
+        Ok(lib) => lib,
+        Err(e) => return Checked { verdict: Err(e), hits: 0, misses: 0 },
+    };
+    let keyed: Vec<(&Module, Option<ComponentHash>, Option<ComponentReport>)> = lib
         .iter()
-        .map(|m| match store.as_deref() {
+        .filter(|m| matches!(m.kind, ModuleKind::Comp { .. }))
+        .map(|m| match store {
             Some(store) => {
                 let hash = component_hash(&lib, m);
-                (Some(hash), store.lookup(hash, m.name()))
+                (m, Some(hash), store.lookup(hash, m.name()))
             }
-            None => (None, None),
+            None => (m, None, None),
         })
         .collect();
-    let hits = keyed.iter().filter(|(_, replay)| replay.is_some()).count();
-    let misses = modules.len() - hits;
-    let components = modules
-        .iter()
-        .zip(keyed)
-        .map(|(module, (hash, replay))| {
+    let hits = keyed.iter().filter(|(_, _, replay)| replay.is_some()).count();
+    let misses = keyed.len() - hits;
+    let components = keyed
+        .into_iter()
+        .map(|(module, hash, replay)| {
             replay.unwrap_or_else(|| {
-                let report = check_isolated(&lib, module, options);
-                if let (Some(store), Some(hash)) = (store.as_deref_mut(), hash) {
+                let report = check(&lib, module);
+                if let (Some(store), Some(hash)) = (store, hash) {
                     store.insert(hash, &report);
                 }
                 report
             })
         })
         .collect();
-    verdict(components).map(|report| IncrementalReport { report, hits, misses })
+    Checked { verdict: verdict(components), hits, misses }
 }
 
 /// Checks one component under panic isolation: a checker panic (a bug, an
@@ -283,9 +307,8 @@ fn check_isolated(
 
 /// Folds per-component reports into a whole-program verdict: the report
 /// when no component has an error diagnostic, otherwise every error
-/// diagnostic in component order. Every whole-program checking path folds
-/// through this, `lilac-service`'s included.
-pub fn verdict(components: Vec<ComponentReport>) -> Result<CheckReport> {
+/// diagnostic in component order.
+fn verdict(components: Vec<ComponentReport>) -> Result<CheckReport> {
     let errors: Vec<Diagnostic> = components
         .iter()
         .flat_map(|c| &c.diagnostics)

@@ -702,7 +702,7 @@ mod tests {
             lilac_util::diag::Severity::Recoverable,
             "injected",
         ));
-        let mut prior = PriorReports::new();
+        let prior = PriorReports::new();
         assert!(!prior.insert(hs[0].1, &degraded), "degraded reports must be refused");
         assert!(prior.is_empty());
         assert!(prior.insert(hs[0].1, &report.components[0]));

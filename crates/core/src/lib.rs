@@ -50,8 +50,8 @@ pub mod lower;
 pub mod reports;
 
 pub use check::{
-    check_component, check_component_with, check_program, check_program_incremental,
-    check_program_with, verdict, CheckOptions, CheckReport, ComponentReport, IncrementalReport,
+    check_against, check_component, check_component_with, check_program, check_program_incremental,
+    check_program_with, CheckOptions, CheckReport, Checked, ComponentReport, IncrementalReport,
 };
 pub use comp::CompLibrary;
 pub use fingerprint::{component_hash, program_component_hashes, ComponentHash};

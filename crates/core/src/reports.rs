@@ -34,6 +34,7 @@ use lilac_solver::SolverStats;
 use lilac_util::intern::Symbol;
 use std::collections::{HashMap, VecDeque};
 use std::path::Path;
+use std::sync::{Mutex, MutexGuard};
 use std::time::Duration;
 
 /// Magic prefix of a serialized store image.
@@ -51,54 +52,23 @@ struct Entry {
 }
 
 /// A bounded FIFO store of clean component verdicts, keyed by content hash
-/// (see the [module docs](self)).
-#[derive(Clone, Debug)]
+/// (see the [module docs](self)). Synchronized internally, so concurrent
+/// callers share one store by reference; every method holds the lock only
+/// for its own lookup, insert or serialization.
+#[derive(Debug)]
 pub struct PriorReports {
+    entries: Mutex<Entries>,
+}
+
+/// The store's contents: the map plus its insertion order for eviction.
+#[derive(Debug)]
+struct Entries {
     map: HashMap<u128, Entry>,
     order: VecDeque<u128>,
     capacity: usize,
 }
 
-impl Default for PriorReports {
-    fn default() -> PriorReports {
-        PriorReports::with_capacity(REPORT_CAPACITY)
-    }
-}
-
-impl PriorReports {
-    /// An empty store.
-    pub fn new() -> PriorReports {
-        PriorReports::default()
-    }
-
-    /// An empty store holding at most `capacity` entries.
-    pub(crate) fn with_capacity(capacity: usize) -> PriorReports {
-        PriorReports { map: HashMap::new(), order: VecDeque::new(), capacity: capacity.max(1) }
-    }
-
-    /// Number of stored verdicts.
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// True if nothing is stored.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
-    }
-
-    /// Admits a verdict if it is clean: no diagnostics and no degraded
-    /// marker. Returns whether it was stored.
-    pub fn insert(&mut self, hash: ComponentHash, report: &ComponentReport) -> bool {
-        if !report.diagnostics.is_empty() || report.degraded.is_some() {
-            return false;
-        }
-        self.push(
-            hash.key(),
-            Entry { obligations: report.obligations as u64, proved: report.proved as u64 },
-        );
-        true
-    }
-
+impl Entries {
     /// Stores an entry, evicting the oldest past the capacity bound.
     fn push(&mut self, key: u128, entry: Entry) {
         if self.map.insert(key, entry).is_none() {
@@ -109,24 +79,6 @@ impl PriorReports {
                 }
             }
         }
-    }
-
-    /// Replays a stored clean verdict as a report bound to the current
-    /// component's name. Obligation and proof counts are alpha- and
-    /// location-invariant, so the replay is
-    /// [`CheckReport::equivalent`](crate::CheckReport::equivalent) to what
-    /// re-checking would produce; elapsed time and solver effort are zero.
-    pub fn lookup(&self, hash: ComponentHash, name: Symbol) -> Option<ComponentReport> {
-        self.map.get(&hash.key()).map(|e| ComponentReport {
-            name,
-            obligations: e.obligations as usize,
-            proved: e.proved as usize,
-            diagnostics: Vec::new(),
-            elapsed: Duration::ZERO,
-            solver_stats: SolverStats::default(),
-            degraded: None,
-            lints: Vec::new(),
-        })
     }
 
     /// Serializes the store to a self-validating image (see
@@ -145,9 +97,74 @@ impl PriorReports {
         }
         seal_image(REPORT_MAGIC, REPORT_VERSION, &payload)
     }
+}
+
+impl Default for PriorReports {
+    fn default() -> PriorReports {
+        PriorReports::with_capacity(REPORT_CAPACITY)
+    }
+}
+
+impl PriorReports {
+    /// An empty store.
+    pub fn new() -> PriorReports {
+        PriorReports::default()
+    }
+
+    /// An empty store holding at most `capacity` entries.
+    pub(crate) fn with_capacity(capacity: usize) -> PriorReports {
+        let entries =
+            Entries { map: HashMap::new(), order: VecDeque::new(), capacity: capacity.max(1) };
+        PriorReports { entries: Mutex::new(entries) }
+    }
+
+    fn entries(&self) -> MutexGuard<'_, Entries> {
+        self.entries.lock().expect("report store poisoned")
+    }
+
+    /// Number of stored verdicts.
+    pub fn len(&self) -> usize {
+        self.entries().map.len()
+    }
+
+    /// True if nothing is stored.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Admits a verdict if it is clean: no diagnostics and no degraded
+    /// marker. Returns whether it was stored.
+    pub fn insert(&self, hash: ComponentHash, report: &ComponentReport) -> bool {
+        if !report.diagnostics.is_empty() || report.degraded.is_some() {
+            return false;
+        }
+        self.entries().push(
+            hash.key(),
+            Entry { obligations: report.obligations as u64, proved: report.proved as u64 },
+        );
+        true
+    }
+
+    /// Replays a stored clean verdict as a report bound to the current
+    /// component's name. Obligation and proof counts are alpha- and
+    /// location-invariant, so the replay is
+    /// [`CheckReport::equivalent`](crate::CheckReport::equivalent) to what
+    /// re-checking would produce; elapsed time and solver effort are zero.
+    pub fn lookup(&self, hash: ComponentHash, name: Symbol) -> Option<ComponentReport> {
+        self.entries().map.get(&hash.key()).map(|e| ComponentReport {
+            name,
+            obligations: e.obligations as usize,
+            proved: e.proved as usize,
+            diagnostics: Vec::new(),
+            elapsed: Duration::ZERO,
+            solver_stats: SolverStats::default(),
+            degraded: None,
+            lints: Vec::new(),
+        })
+    }
 
     /// Validates and deserializes an image produced by
-    /// [`PriorReports::to_bytes`]. Any header or payload inconsistency is a
+    /// [`PriorReports::save`]. Any header or payload inconsistency is a
     /// [`CacheLoadError`]; this never panics on bad input.
     fn from_bytes(bytes: &[u8]) -> Result<PriorReports, CacheLoadError> {
         let payload = open_image(REPORT_MAGIC, REPORT_VERSION, bytes)?;
@@ -160,6 +177,7 @@ impl PriorReports {
             return Err(CacheLoadError::Malformed("entry area does not match count"));
         }
         let mut store = PriorReports::new();
+        let entries = store.entries.get_mut().expect("a fresh store is not poisoned");
         for chunk in body.chunks_exact(32) {
             let key = u128::from_le_bytes(chunk[0..16].try_into().expect("16 bytes"));
             let entry = Entry {
@@ -169,7 +187,7 @@ impl PriorReports {
             if entry.proved > entry.obligations {
                 return Err(CacheLoadError::Malformed("proved exceeds obligations"));
             }
-            store.push(key, entry);
+            entries.push(key, entry);
         }
         Ok(store)
     }
@@ -180,8 +198,12 @@ impl PriorReports {
     ///
     /// Propagates filesystem errors.
     pub fn save(&self, path: &Path) -> std::io::Result<usize> {
-        save_image(path, &self.to_bytes())?;
-        Ok(self.len())
+        let (image, len) = {
+            let entries = self.entries();
+            (entries.to_bytes(), entries.map.len())
+        };
+        save_image(path, &image)?;
+        Ok(len)
     }
 
     /// The same recovery policy as [`lilac_solver::SharedCache`]: a missing
@@ -232,7 +254,7 @@ mod tests {
 
     #[test]
     fn admit_lookup_rebinds_name_and_zeroes_effort() {
-        let mut store = PriorReports::new();
+        let store = PriorReports::new();
         assert!(store.insert(hash(1), &clean_report("A", 7, 7)));
         let replay = store.lookup(hash(1), Symbol::intern("B")).expect("hit");
         assert_eq!(replay.name.as_str(), "B");
@@ -245,7 +267,7 @@ mod tests {
 
     #[test]
     fn dirty_and_degraded_reports_are_refused() {
-        let mut store = PriorReports::new();
+        let store = PriorReports::new();
         let mut with_diag = clean_report("A", 3, 2);
         with_diag.diagnostics.push(Diagnostic::error("refuted", Span::dummy()));
         assert!(!store.insert(hash(1), &with_diag), "reports with diagnostics must be refused");
@@ -258,7 +280,7 @@ mod tests {
 
     #[test]
     fn capacity_evicts_oldest_first() {
-        let mut store = PriorReports::with_capacity(2);
+        let store = PriorReports::with_capacity(2);
         store.insert(hash(1), &clean_report("A", 1, 1));
         store.insert(hash(2), &clean_report("B", 2, 2));
         store.insert(hash(3), &clean_report("C", 3, 3));
@@ -270,11 +292,11 @@ mod tests {
 
     #[test]
     fn image_round_trips_and_is_deterministic() {
-        let mut store = PriorReports::new();
+        let store = PriorReports::new();
         for n in 0..20u64 {
             store.insert(hash(n), &clean_report("X", n as usize + 1, n as usize));
         }
-        let image = store.to_bytes();
+        let image = store.entries().to_bytes();
         assert!(image.starts_with(REPORT_MAGIC));
         let reloaded = PriorReports::from_bytes(&image).expect("image validates");
         assert_eq!(reloaded.len(), store.len());
@@ -284,16 +306,14 @@ mod tests {
                 Some((n as usize + 1, n as usize)),
             );
         }
-        assert_eq!(image, reloaded.to_bytes(), "equal contents, equal bytes");
+        assert_eq!(image, reloaded.entries().to_bytes(), "equal contents, equal bytes");
     }
 
     #[test]
     fn corruption_is_rejected_not_panicked() {
-        let image = {
-            let mut store = PriorReports::new();
-            store.insert(hash(9), &clean_report("A", 4, 4));
-            store.to_bytes()
-        };
+        let store = PriorReports::new();
+        store.insert(hash(9), &clean_report("A", 4, 4));
+        let image = store.entries().to_bytes();
         for at in 0..image.len() {
             let mut bad = image.clone();
             bad[at] ^= 1 << (at % 8);
@@ -319,7 +339,7 @@ mod tests {
         assert!(cold.is_empty());
         assert_eq!(status, CacheLoadStatus::Missing);
 
-        let mut store = PriorReports::new();
+        let store = PriorReports::new();
         store.insert(hash(1), &clean_report("A", 2, 2));
         assert_eq!(store.save(&path).expect("save"), 1);
         let (reloaded, status) = PriorReports::load_or_quarantine(&path);

@@ -60,46 +60,25 @@ use lilac_util::span::Span;
 use std::collections::{BTreeMap, HashMap};
 use std::rc::Rc;
 
-/// Configuration for elaboration.
+/// Configuration for elaboration. The netlist is returned raw: callers
+/// run `lilac_opt::optimize` or `lilac_opt::retime` on it themselves.
 #[derive(Clone, Debug, Default)]
 pub struct ElabConfig {
     /// Generator registry used to elaborate `gen` components.
     pub registry: GeneratorRegistry,
-    /// Maximum module-instantiation depth (cycle guard).
-    pub max_depth: usize,
-    /// Run the netlist optimizer (`lilac-opt`) on the elaborated top-level
-    /// netlist before returning it. Off by default: the raw netlist is what
-    /// the differential oracles compare the optimized one *against*.
-    pub optimize: bool,
-    /// Run the register-retiming pass (`lilac_opt::retime`) on the
-    /// elaborated top-level netlist before returning it, relocating
-    /// `Reg`/`Delay` stages across combinational logic wherever
-    /// `lilac-synth`'s timing model says the estimated critical path
-    /// shrinks. Applied after the optimizer when both knobs are on
-    /// (retiming a folded netlist finds the real cuts instead of
-    /// soon-to-be-swept ones). Off by default for the same reason as
-    /// [`ElabConfig::optimize`]: the raw netlist is the oracle baseline.
-    pub retime: bool,
 }
 
 impl ElabConfig {
     /// Configuration with a specific registry.
     pub fn with_registry(registry: GeneratorRegistry) -> ElabConfig {
-        ElabConfig { registry, max_depth: 64, optimize: false, retime: false }
-    }
-
-    /// Enables the netlist-optimizer hook (see [`ElabConfig::optimize`]).
-    pub fn optimized(mut self) -> ElabConfig {
-        self.optimize = true;
-        self
-    }
-
-    /// Enables the register-retiming hook (see [`ElabConfig::retime`]).
-    pub fn retimed(mut self) -> ElabConfig {
-        self.retime = true;
-        self
+        ElabConfig { registry }
     }
 }
+
+/// Deepest module instantiation elaborated: the top is at depth 0, and an
+/// instantiation below depth `MAX_DEPTH` is reported as a likely cycle in
+/// the instantiation graph.
+const MAX_DEPTH: usize = 64;
 
 /// Result of elaborating one component for one set of argument values.
 #[derive(Clone, Debug)]
@@ -144,20 +123,7 @@ pub fn elaborate_module(
     let module = elab.elaborate(Symbol::intern(top), &args, 0, Span::dummy())?;
     // Dropping the memo leaves the top unshared, so it is moved, not cloned.
     drop(elab);
-    let mut module = Rc::unwrap_or_clone(module);
-    if config.optimize {
-        // The opt-in hook: the flattened top-level netlist is rewritten by
-        // the pass pipeline (cycle-exactness is the optimizer's contract,
-        // enforced by lilac-fuzz's sixth differential oracle).
-        module.netlist = lilac_opt::optimize(&module.netlist);
-    }
-    if config.retime {
-        // Same opt-in shape for the retiming pass: cycle-exactness, exact
-        // per-output latency, and a never-worse estimated critical path
-        // are its contract, enforced by the seventh differential oracle.
-        module.netlist = lilac_opt::retime(&module.netlist);
-    }
-    Ok(module)
+    Ok(Rc::unwrap_or_clone(module))
 }
 
 // ---------------------------------------------------------------------------
@@ -185,7 +151,7 @@ impl<'a> Elaborator<'a> {
         depth: usize,
         span: Span,
     ) -> Result<Rc<ElabModule>> {
-        if depth > self.config.max_depth.max(8) {
+        if depth > MAX_DEPTH {
             return Err(err(
                 format!("instantiation of `{name}` exceeds the maximum elaboration depth (cycle in the instantiation graph?)"),
                 span,
@@ -1248,4 +1214,57 @@ fn eval_static(e: &ParamExpr, params: &BTreeMap<Symbol, u64>) -> Option<u64> {
         }
         _ => return None,
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A chain `C0 → C1 → … → C{levels-1} → Reg`: `C{k}` sits at depth `k`
+    /// and the closing `Reg` at depth `levels`.
+    fn chain(levels: usize) -> String {
+        let mut src =
+            String::from("extern comp Reg[#W]<G:1>(in: [G, G+1] #W) -> (out: [G+1, G+2] #W);\n");
+        for k in 0..levels {
+            let (child, out) = if k + 1 == levels {
+                ("Reg".to_string(), "out")
+            } else {
+                (format!("C{}", k + 1), "o")
+            };
+            src.push_str(&format!(
+                "comp C{k}[#W]<G:1>(i: [G, G+1] #W) -> (o: [G+1, G+2] #W) {{\n\
+                 \x20   c := new {child}[#W]<G>(i);\n\
+                 \x20   o = c.{out};\n\
+                 }}\n"
+            ));
+        }
+        src
+    }
+
+    #[test]
+    fn depth_limit_is_one_constant_under_every_config() {
+        let params = BTreeMap::from([("W".to_string(), 4)]);
+        for config in
+            [ElabConfig::default(), ElabConfig::with_registry(GeneratorRegistry::default())]
+        {
+            let (deepest, _) = lilac_ast::parse_program("chain.lilac", &chain(MAX_DEPTH)).unwrap();
+            let netlist = elaborate(&deepest, "C0", &params, &config)
+                .expect("an instantiation at depth MAX_DEPTH elaborates");
+            assert_eq!(netlist.sequential_count(), 1);
+
+            let src = chain(MAX_DEPTH + 1);
+            let (too_deep, map) = lilac_ast::parse_program("chain.lilac", &src).unwrap();
+            let error = elaborate(&too_deep, "C0", &params, &config)
+                .expect_err("an instantiation below depth MAX_DEPTH is rejected");
+            let primary = error.primary();
+            assert!(
+                primary.message.contains("`Reg` exceeds the maximum elaboration depth"),
+                "{}",
+                primary.message
+            );
+            let at = map.describe(primary.span);
+            let line = src.lines().position(|l| l.contains("new Reg")).unwrap() + 1;
+            assert!(at.contains(&format!(":{line}:")), "error at {at}, expected line {line}");
+        }
+    }
 }

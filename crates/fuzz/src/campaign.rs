@@ -11,17 +11,19 @@
 //!   reproduces any case regardless of how many shards observed it.
 //! - **One engine set per shard.** Each shard runs on its own
 //!   `lilac-util::par` worker with its own [`Session`] — its own
-//!   [`SharedCache`], its own [`CheckService`](lilac_service::CheckService),
-//!   and (under `--cache`) its own shard-suffixed cache image
+//!   [`CheckService`](lilac_service::CheckService) with its own solver
+//!   cache, and (under `--cache-file`) its own shard-suffixed cache image
 //!   ([`lilac_service::shard_cache_path`]) — so shards never contend on a
 //!   lock and never race on a file.
 //! - **Deterministic merge.** Shard outcomes are folded in global case-index
 //!   order through the same [`crate::fold_record`] the sequential driver
 //!   uses, with the same `max_failures` cut, so the merged
 //!   [`FuzzSummary`] — fingerprint included — is byte-identical to the
-//!   sequential run's for every shard count. Per-case records are a pure
-//!   function of the case seed (session state shapes *how* oracles answer,
-//!   never what is recorded), which is what makes the fold shard-invariant.
+//!   sequential run's for every shard count, and the service counters
+//!   (faults, degradations, report-cache hits) sum across shards. Per-case
+//!   records are a pure function of the case seed (session state shapes
+//!   *how* oracles answer, never what is recorded), which is what makes the
+//!   fold shard-invariant.
 //! - **Coverage-guided distillation.** Every clean case carries a
 //!   [`CoverageSignature`]; the distillation pass keeps the first case of
 //!   each distinct signature in index order — a minimal corpus subset
@@ -34,7 +36,6 @@ use crate::oracle::Session;
 use crate::{
     fold_record, run_indexed_case, CaseRecord, CoverageSignature, FuzzConfig, FuzzSummary,
 };
-use lilac_solver::SharedCache;
 use lilac_util::par::par_map;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
@@ -66,8 +67,6 @@ pub struct ShardReport {
     pub elapsed_secs: f64,
     /// Cases per second (0 for an empty shard).
     pub cases_per_sec: f64,
-    /// Entries the shard's own shared solver cache accumulated.
-    pub shared_cache_entries: usize,
     /// Faults the shard's service injected (0 without `--faults`).
     pub faults_injected: u64,
     /// Units the shard's service answered through its degradation ladder.
@@ -123,12 +122,10 @@ struct ShardOutcome {
     /// truncated by the shard's local `max_failures` budget — safe, because
     /// records beyond it lie past the global cut under any layout).
     records: Vec<CaseRecord>,
-    /// The shard's session-level statistics (cache sizes, fault counters,
+    /// The shard's session-level statistics (fault and service counters,
     /// persisted-entry counts), extracted through the same
     /// `finish_summary` path the sequential driver uses.
     session_stats: FuzzSummary,
-    /// Handle to the shard's shared solver cache, for the union merge.
-    cache: Option<SharedCache>,
     report: ShardReport,
 }
 
@@ -185,12 +182,11 @@ pub fn run_campaign_with_progress(
             cases,
             elapsed_secs: elapsed,
             cases_per_sec: if elapsed > 0.0 { cases as f64 / elapsed } else { 0.0 },
-            shared_cache_entries: session_stats.shared_cache_entries,
             faults_injected: session_stats.faults_injected,
             degraded_units: session_stats.degraded_units,
             cache_entries_saved: session_stats.cache_entries_saved,
         };
-        ShardOutcome { records, session_stats, cache: session.shared_cache().cloned(), report }
+        ShardOutcome { records, session_stats, report }
     });
 
     // Merge phase 1: fold every record in global case-index order through
@@ -207,17 +203,10 @@ pub fn run_campaign_with_progress(
         }
     }
 
-    // Merge phase 2: session-level statistics. The solver caches merge by
-    // union ([`SharedCache::absorb`]); entry contents are deterministic per
-    // query, so the union carries exactly the entries the sequential
-    // session would hold, whatever the shard layout. Fault/service counters
-    // sum — they count events, and every shard's events are disjoint.
-    let merged_cache = SharedCache::new();
+    // Merge phase 2: session-level statistics. Fault/service counters sum —
+    // they count events, and every shard's events are disjoint.
     let mut saved: Option<usize> = None;
     for outcome in &outcomes {
-        if let Some(cache) = &outcome.cache {
-            merged_cache.absorb(cache);
-        }
         summary.faults_injected += outcome.session_stats.faults_injected;
         summary.degraded_units += outcome.session_stats.degraded_units;
         summary.failed_units += outcome.session_stats.failed_units;
@@ -228,7 +217,6 @@ pub fn run_campaign_with_progress(
             saved = Some(saved.unwrap_or(0) + n);
         }
     }
-    summary.shared_cache_entries = merged_cache.len();
     summary.cache_entries_saved = saved;
 
     // Distillation: the first folded case of every distinct signature, in

@@ -128,7 +128,7 @@ pub fn parse_directives(text: &str) -> Result<Directives, String> {
 /// Returns a description when the scenario itself fails its oracles (such a
 /// scenario belongs in a bug report, not the corpus).
 pub fn emit_case(scenario: &Scenario) -> Result<String, Failure> {
-    let session = Session::without_shared_cache();
+    let session = Session::without_service();
     let stats = crate::oracle::run_case(scenario, &session)?;
 
     let synth = synthesize(scenario);

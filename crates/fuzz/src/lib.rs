@@ -7,8 +7,7 @@
 //! sub-components, and FloPoCo generator invocations — and pushes each one
 //! through ten differential oracles (see [`oracle`]):
 //!
-//! 1. every checker configuration (optimized / shared-cache / naive)
-//!    reaches the same verdict;
+//! 1. the optimized and the naive checker reach the same verdict;
 //! 2. programs that type-check elaborate and simulate to exactly the values
 //!    the scenario interpreter predicts, cycle by cycle (the paper's §4
 //!    soundness claim, observed dynamically);
@@ -234,8 +233,6 @@ pub struct FuzzSummary {
     pub queries: u64,
     /// Total cycles simulated by the value and LA/LI oracles.
     pub cycles: u64,
-    /// Entries accumulated in the persistent cross-case solver cache.
-    pub shared_cache_entries: usize,
     /// Faults injected into the check service (0 without `faults`).
     pub faults_injected: u64,
     /// Units the service answered through its degradation ladder.
@@ -315,11 +312,11 @@ pub fn run_indexed_case(config: &FuzzConfig, session: &Session, index: u64) -> C
         Ok(stats) => Ok(stats),
         Err(failure) => {
             let report = if config.shrink {
-                // Re-judge each candidate with a *fresh* shared cache so
+                // Re-judge each candidate with a *fresh* session so
                 // shrinking is independent of the probes before it while
-                // still running the warm-cache configuration (failures
-                // that need cross-case cache pollution to reproduce are
-                // reported unshrunk). Only candidates failing the *same*
+                // still running the service oracle (failures that need
+                // cross-case cache pollution to reproduce are reported
+                // unshrunk). Only candidates failing the *same*
                 // oracle are accepted.
                 let oracle_name = failure.oracle;
                 let shrunk = shrink::shrink(&scenario, failure, |cand| {
@@ -442,12 +439,11 @@ pub fn run_fuzz_with_progress(config: &FuzzConfig, mut progress: impl FnMut(u64)
     summary
 }
 
-/// Copies the session-level statistics (cache sizes, fault and service
-/// counters, persisted-entry counts) into a folded summary, saving the
+/// Copies the session-level statistics (fault and service counters,
+/// persisted-entry counts) into a folded summary, saving the
 /// service's cache as a side effect. Shared by the sequential driver and,
 /// per shard, by the campaign runner.
 pub(crate) fn finish_summary(summary: &mut FuzzSummary, session: &Session) {
-    summary.shared_cache_entries = session.shared_cache_entries();
     summary.faults_injected = session.faults().total_injected();
     if let Some(service) = session.service() {
         let stats = service.stats();

@@ -250,8 +250,8 @@ fn render_summary(seed: u64, summary: &FuzzSummary) -> String {
     );
     let _ = writeln!(
         out,
-        "  effort:   {} obligations, {} solver queries, {} simulated cycles, {} shared-cache entries",
-        summary.obligations, summary.queries, summary.cycles, summary.shared_cache_entries
+        "  effort:   {} obligations, {} solver queries, {} simulated cycles",
+        summary.obligations, summary.queries, summary.cycles
     );
     let _ = writeln!(out, "  fingerprint: {:016x}", summary.fingerprint);
     for f in &summary.failures {
@@ -469,14 +469,13 @@ fn main() -> ExitCode {
     if let Some(campaign) = &campaign {
         for shard in &campaign.shards {
             eprintln!(
-                "shard {}: cases {}..{} ({} run), {:.1}s, {:.1} cases/s, {} cache entries",
+                "shard {}: cases {}..{} ({} run), {:.1}s, {:.1} cases/s",
                 shard.shard,
                 shard.start,
                 shard.start + shard.cases,
                 shard.cases,
                 shard.elapsed_secs,
-                shard.cases_per_sec,
-                shard.shared_cache_entries
+                shard.cases_per_sec
             );
         }
         eprintln!(

@@ -3,8 +3,7 @@
 //! Every generated case is pushed through eleven independent cross-checks:
 //!
 //! 1. **Checker A/B** — the optimized obligation-discharge pipeline
-//!    (slicing + caching + indexed scopes), a variant warmed by a
-//!    persistent cross-case [`SharedCache`], and the naive baseline
+//!    (slicing + caching + indexed scopes) and the naive baseline
 //!    ([`CheckOptions::naive`]) must reach the same verdict on the same
 //!    program — identical reports when it checks, matching
 //!    diagnostics when it does not. Sabotaged programs must be rejected;
@@ -44,7 +43,8 @@
 //!    oracle that pins the first pass that rewrites *where state lives*
 //!    rather than collapsing it.
 //! 8. **Fault-tolerant service** — the long-lived [`CheckService`] (its
-//!    persistent on-disk cache, deadline budgets, and — when
+//!    cross-case shared solver cache, which warms its optimized first
+//!    attempt, its persistent on-disk cache, deadline budgets, and — when
 //!    the fuzzer is run with `--faults` — a seeded [`FaultPlan`] injecting
 //!    worker panics, forced deadline expiries, and budget exhaustion) must
 //!    reach exactly the naive checker's verdict on every case. Degradation
@@ -92,9 +92,9 @@ use lilac_core::{
 use lilac_elab::{elaborate_module, ElabConfig};
 use lilac_service::{CheckService, ServiceConfig};
 use lilac_sim::{CompiledSim, SimBackend, Simulator};
-use lilac_solver::SharedCache;
 use lilac_util::diag::LilacError;
 use lilac_util::fault::FaultPlan;
+use lilac_util::par::WorkerPanic;
 use lilac_util::rng::Rng;
 use std::collections::BTreeMap;
 use std::path::PathBuf;
@@ -134,22 +134,20 @@ pub struct CaseStats {
     pub coverage: crate::CoverageSignature,
 }
 
-/// Session state shared across cases: the persistent cross-program solver
-/// cache (itself under test — a stale or colliding entry would make the
-/// warm configuration diverge from the cold one) and the long-lived
-/// [`CheckService`] behind the eighth oracle, with its own persistent
-/// cache and (optionally) seeded fault plan.
+/// Session state shared across cases: the long-lived [`CheckService`]
+/// behind the eighth oracle, with its cross-case solver cache (itself under
+/// test — a stale or colliding entry would make the warm service diverge
+/// from the naive checker), its persistent cache and (optionally) seeded
+/// fault plan.
 #[derive(Default)]
 pub struct Session {
-    shared: Option<SharedCache>,
     service: Option<CheckService>,
     faults: FaultPlan,
     incremental: bool,
 }
 
 impl Session {
-    /// A session with a persistent shared solver cache and a fault-free
-    /// check service.
+    /// A session with a fault-free check service.
     pub fn new() -> Session {
         Session::with_service(None, None, false)
     }
@@ -179,19 +177,14 @@ impl Session {
             cache_path: cache_file,
             ..ServiceConfig::default()
         };
-        Session {
-            shared: Some(SharedCache::new()),
-            service: Some(CheckService::new(config)),
-            faults: plan,
-            incremental,
-        }
+        Session { service: Some(CheckService::new(config)), faults: plan, incremental }
     }
 
-    /// A session for shard `shard` of a campaign: its own shared solver
-    /// cache and check service (one engine set per shard — shards never
-    /// contend on a lock), with any persistent cache path suffixed per
-    /// shard via [`lilac_service::shard_cache_path`] so concurrent shards
-    /// never race on one image.
+    /// A session for shard `shard` of a campaign: its own check service
+    /// (one engine set per shard — shards never contend on a lock), with
+    /// any persistent cache path suffixed per shard via
+    /// [`lilac_service::shard_cache_path`] so concurrent shards never race
+    /// on one image.
     pub fn for_shard(
         faults: Option<u64>,
         cache_file: Option<PathBuf>,
@@ -202,23 +195,11 @@ impl Session {
         Session::with_service(faults, cache_file, incremental)
     }
 
-    /// A session without the cross-case cache or service (used by corpus
-    /// replays, so a regression's verdict never depends on other cases or
-    /// on service-internal fault sites).
-    pub fn without_shared_cache() -> Session {
-        Session { shared: None, service: None, faults: FaultPlan::disabled(), incremental: false }
-    }
-
-    /// Number of entries accumulated in the shared cache.
-    pub fn shared_cache_entries(&self) -> usize {
-        self.shared.as_ref().map_or(0, SharedCache::len)
-    }
-
-    /// The session's cross-case shared solver cache, when one is running
-    /// (the campaign merge absorbs every shard's cache into one to recover
-    /// the sequential driver's entry count).
-    pub fn shared_cache(&self) -> Option<&SharedCache> {
-        self.shared.as_ref()
+    /// A session without a service (used by corpus replays, so a
+    /// regression's verdict never depends on other cases or on
+    /// service-internal fault sites).
+    pub fn without_service() -> Session {
+        Session::default()
     }
 
     /// The session's check service, when one is running.
@@ -261,6 +242,19 @@ pub(crate) fn errors_agree(a: &LilacError, b: &LilacError) -> bool {
     strip(a) == strip(b)
 }
 
+/// Whether two verdicts agree: equivalent reports, or errors that agree up
+/// to counterexample models (see [`errors_agree`]).
+fn verdicts_agree(
+    a: &Result<CheckReport, LilacError>,
+    b: &Result<CheckReport, LilacError>,
+) -> bool {
+    match (a, b) {
+        (Ok(a), Ok(b)) => a.equivalent(b),
+        (Err(a), Err(b)) => errors_agree(a, b),
+        _ => false,
+    }
+}
+
 fn describe_check(r: &Result<CheckReport, LilacError>) -> String {
     match r {
         Ok(report) => format!(
@@ -273,7 +267,7 @@ fn describe_check(r: &Result<CheckReport, LilacError>) -> String {
     }
 }
 
-/// Oracle 1: the three checker configurations must agree with each other
+/// Oracle 1: the optimized and naive checkers must agree with each other
 /// and with the scenario's expectation. Returns the optimized report on
 /// success.
 fn checker_ab(
@@ -282,31 +276,15 @@ fn checker_ab(
 ) -> Result<Result<CheckReport, LilacError>, Failure> {
     let fast = check_program_with(&synth.program, &CheckOptions::default());
     let naive = check_program_with(&synth.program, &CheckOptions::naive());
-    let mut configs: Vec<(&'static str, &Result<CheckReport, LilacError>)> =
-        vec![("naive", &naive)];
-    let warm;
-    if let Some(shared) = &session.shared {
-        let mut opts = CheckOptions::default();
-        opts.solver_config.shared_cache = Some(shared.clone());
-        warm = check_program_with(&synth.program, &opts);
-        configs.push(("warm-shared-cache", &warm));
-    }
-    for (name, other) in configs {
-        let agree = match (&fast, other) {
-            (Ok(a), Ok(b)) => a.equivalent(b),
-            (Err(a), Err(b)) => errors_agree(a, b),
-            _ => false,
-        };
-        if !agree {
-            return Err(Failure::new(
-                "checker-ab",
-                format!(
-                    "optimized and {name} checkers disagree: {} vs {}",
-                    describe_check(&fast),
-                    describe_check(other)
-                ),
-            ));
-        }
+    if !verdicts_agree(&fast, &naive) {
+        return Err(Failure::new(
+            "checker-ab",
+            format!(
+                "optimized and naive checkers disagree: {} vs {}",
+                describe_check(&fast),
+                describe_check(&naive)
+            ),
+        ));
     }
     // Oracle 8: the fault-tolerant service. Whatever its seeded fault plan
     // injects — worker panics, forced deadline expiries, budget exhaustion —
@@ -319,12 +297,7 @@ fn checker_ab(
         } else {
             service.check(&synth.program)
         };
-        let agree = match (&outcome.verdict, &naive) {
-            (Ok(a), Ok(b)) => a.equivalent(b),
-            (Err(a), Err(b)) => errors_agree(a, b),
-            _ => false,
-        };
-        if !agree {
+        if !verdicts_agree(&outcome.verdict, &naive) {
             return Err(Failure::new(
                 "service",
                 format!(
@@ -522,12 +495,7 @@ pub(crate) fn drive_netlist(
         lilac_opt::optimize_with_stats(netlist)
     }))
     .map_err(|p| {
-        let msg = p
-            .downcast_ref::<String>()
-            .map(String::as_str)
-            .or_else(|| p.downcast_ref::<&str>().copied())
-            .unwrap_or("optimizer panicked");
-        Failure::new("opt", format!("optimizer panicked: {msg}"))
+        Failure::new("opt", format!("optimizer panicked: {}", WorkerPanic::from_payload(&*p)))
     })?;
     if optimized.node_count() > netlist.node_count() {
         return Err(Failure::new(
@@ -556,12 +524,7 @@ pub(crate) fn drive_netlist(
         lilac_opt::retime_with_stats(netlist)
     }))
     .map_err(|p| {
-        let msg = p
-            .downcast_ref::<String>()
-            .map(String::as_str)
-            .or_else(|| p.downcast_ref::<&str>().copied())
-            .unwrap_or("retimer panicked");
-        Failure::new("retime", format!("retimer panicked: {msg}"))
+        Failure::new("retime", format!("retimer panicked: {}", WorkerPanic::from_payload(&*p)))
     })?;
     let ret_sim = Simulator::new(&retimed)
         .map_err(|e| Failure::new("retime", format!("retimed netlist rejected: {e}")))?;
@@ -601,12 +564,10 @@ pub(crate) fn drive_netlist(
     let analysis =
         std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| lilac_analysis::analyze(netlist)))
             .map_err(|p| {
-                let msg = p
-                    .downcast_ref::<String>()
-                    .map(String::as_str)
-                    .or_else(|| p.downcast_ref::<&str>().copied())
-                    .unwrap_or("analyzer panicked");
-                Failure::new("analysis", format!("analyzer panicked: {msg}"))
+                Failure::new(
+                    "analysis",
+                    format!("analyzer panicked: {}", WorkerPanic::from_payload(&*p)),
+                )
             })?
             .map_err(|e| Failure::new("analysis", format!("analyzer rejected netlist: {e}")))?;
 

@@ -30,10 +30,6 @@ fn assert_summaries_match(seq: &FuzzSummary, got: &FuzzSummary, shards: usize) {
     };
     assert_eq!(counters(got), counters(seq), "summary counters diverged at {shards} shard(s)");
     assert_eq!(got.signatures, seq.signatures, "signature histogram diverged at {shards} shard(s)");
-    assert_eq!(
-        got.shared_cache_entries, seq.shared_cache_entries,
-        "merged shared-cache entry count diverged at {shards} shard(s)"
-    );
     assert!(got.failures.is_empty(), "200 seed-0 cases must stay oracle-clean");
 }
 
@@ -42,13 +38,6 @@ fn campaign_matches_sequential_for_every_shard_count() {
     let fuzz = FuzzConfig::default(); // 200 cases, seed 0
     let sequential = run_fuzz(&fuzz);
     assert!(!sequential.signatures.is_empty(), "a 200-case run observes signatures");
-    // The shard comparisons below rest on the sequential count itself being
-    // reproducible: checking writes the shared cache in a fixed order.
-    let again = run_fuzz(&fuzz);
-    assert_eq!(
-        again.shared_cache_entries, sequential.shared_cache_entries,
-        "two identical sequential runs must merge the same shared-cache entries"
-    );
 
     let mut distilled_sigs: Option<BTreeSet<CoverageSignature>> = None;
     for shards in [1usize, 2, 4, 7] {

@@ -13,17 +13,19 @@
 //! * **Panic isolation** — every check unit runs under `catch_unwind`; a
 //!   checker bug (or an injected fault) is contained to its component.
 //! * **Deadlines with graceful degradation** — each unit gets a
-//!   [`QueryBudget`] deadline. On timeout or panic the service walks a
-//!   degradation ladder: retry on the naive solver path (slicing and caching
-//!   disabled, no budget, capped exponential backoff between attempts), and
-//!   only if that also fails mark the component failed with a structured
-//!   [`CheckError`]. The process never aborts.
+//!   [`QueryBudget`] deadline. On timeout or panic the service falls back,
+//!   after [`ServiceConfig::backoff`], to one attempt on the naive solver
+//!   path (slicing and caching disabled, no budget, no faults). That path is
+//!   deterministic, so if it fails too the component is marked failed with
+//!   a structured [`CheckError`] rather than retried. The process never
+//!   aborts.
 //! * **Content-addressed replay** — [`CheckService::check_incremental`]
 //!   replays clean component verdicts from a bounded [`PriorReports`] store,
 //!   the same store [`lilac_core::check_program_incremental`] threads, and
 //!   checks only the misses. [`CheckService::check`] is the same
-//!   serving path without the store, and both fold their verdict with the
-//!   one-shot checker's [`lilac_core::verdict`].
+//!   serving path without the store. Both run through
+//!   [`lilac_core::check_against`], the one whole-program checking body,
+//!   with the degradation ladder as its per-component check.
 //! * **Crash-safe cache persistence** — the shared solver cache and the
 //!   report cache can be saved to and restored from disk; corrupt images are
 //!   quarantined and the cache rebuilds cold (see [`lilac_solver::persist`]).
@@ -39,10 +41,10 @@
 //! order. The service is `Sync`: concurrent callers share its caches and
 //! counters, and each request runs on its own caller's thread.
 
-use lilac_ast::{Module, ModuleKind, Program};
+use lilac_ast::{Module, Program};
 use lilac_core::{
-    check_component_with, component_hash, verdict, CheckOptions, CheckReport, CompLibrary,
-    ComponentHash, ComponentReport, PriorReports,
+    check_against, check_component_with, CheckOptions, CheckReport, CompLibrary, ComponentReport,
+    PriorReports,
 };
 use lilac_ir::Netlist;
 use lilac_sim::{CompiledSim, SimBackend};
@@ -68,12 +70,9 @@ pub struct ServiceConfig {
     /// Deadline budget per check unit on the optimized first attempt
     /// (`None` disables deadlines).
     pub deadline: Option<Duration>,
-    /// Fallback retries after a failed first attempt.
-    pub retries: u32,
-    /// Backoff before the first retry; doubles per retry.
+    /// Pause before the naive fallback attempt that follows a failed first
+    /// attempt.
     pub backoff: Duration,
-    /// Backoff ceiling.
-    pub backoff_cap: Duration,
     /// Solver configuration for the optimized first attempt. The service
     /// installs its own shared cache and budget on top of this.
     pub solver_config: SolverConfig,
@@ -108,9 +107,7 @@ impl Default for ServiceConfig {
         ServiceConfig {
             workers: 1,
             deadline: Some(Duration::from_secs(30)),
-            retries: 2,
             backoff: Duration::from_millis(10),
-            backoff_cap: Duration::from_millis(160),
             solver_config: SolverConfig::default(),
             cache_path: None,
             report_cache_path: None,
@@ -126,7 +123,8 @@ pub struct ServiceStats {
     /// Programs submitted through [`CheckService::check`] or
     /// [`CheckService::check_incremental`].
     pub programs: u64,
-    /// Check units (one component each) executed, counting retries once.
+    /// Check units (one component each) executed, counting a unit that
+    /// fell back once.
     pub units: u64,
     /// First-attempt panics caught (including injected ones).
     pub panics_caught: u64,
@@ -134,11 +132,9 @@ pub struct ServiceStats {
     pub deadline_expiries: u64,
     /// First-attempt query-budget exhaustions.
     pub budget_exhaustions: u64,
-    /// Fallback retry attempts executed.
-    pub retries: u64,
     /// Units whose verdict came from a degraded (fallback) attempt.
     pub degraded_units: u64,
-    /// Units where even the fallback ladder failed.
+    /// Units where the naive fallback failed too.
     pub failed_units: u64,
     /// Cache images recycled (serialize → reload) successfully.
     pub cache_reloads: u64,
@@ -163,7 +159,6 @@ struct Counters {
     panics_caught: AtomicU64,
     deadline_expiries: AtomicU64,
     budget_exhaustions: AtomicU64,
-    retries: AtomicU64,
     degraded_units: AtomicU64,
     failed_units: AtomicU64,
     cache_reloads: AtomicU64,
@@ -238,7 +233,7 @@ pub struct CheckService {
     cache_status: Option<CacheLoadStatus>,
     /// Content-addressed clean-verdict store for
     /// [`CheckService::check_incremental`].
-    reports: Mutex<PriorReports>,
+    reports: PriorReports,
     /// What startup found at `report_cache_path` (None when no path
     /// configured).
     report_cache_status: Option<CacheLoadStatus>,
@@ -273,7 +268,7 @@ impl CheckService {
         CheckService {
             shared: Mutex::new(shared),
             cache_status,
-            reports: Mutex::new(reports),
+            reports,
             report_cache_status,
             site_counter: AtomicU64::new(0),
             counters,
@@ -298,7 +293,7 @@ impl CheckService {
 
     /// Clean verdicts currently in the content-addressed report cache.
     pub fn report_cache_len(&self) -> usize {
-        self.reports.lock().expect("report cache poisoned").len()
+        self.reports.len()
     }
 
     /// Snapshot of the service's lifetime counters.
@@ -310,7 +305,6 @@ impl CheckService {
             panics_caught: c.panics_caught.load(Ordering::Relaxed),
             deadline_expiries: c.deadline_expiries.load(Ordering::Relaxed),
             budget_exhaustions: c.budget_exhaustions.load(Ordering::Relaxed),
-            retries: c.retries.load(Ordering::Relaxed),
             degraded_units: c.degraded_units.load(Ordering::Relaxed),
             failed_units: c.failed_units.load(Ordering::Relaxed),
             cache_reloads: c.cache_reloads.load(Ordering::Relaxed),
@@ -339,7 +333,8 @@ impl CheckService {
     /// content-addressed report cache instead of re-checking their
     /// components.
     ///
-    /// Each component is addressed by its [`ComponentHash`] — a canonical,
+    /// Each component is addressed by its
+    /// [`ComponentHash`](lilac_core::ComponentHash) — a canonical,
     /// alpha- and location-invariant hash of its module plus the signatures
     /// of everything it (transitively, through signatures) references — so
     /// across a request stream only the components whose checking inputs
@@ -348,7 +343,7 @@ impl CheckService {
     /// bookkeeping. The cache is a [`PriorReports`], the same store
     /// [`lilac_core::check_program_incremental`] threads: only clean
     /// verdicts are admitted, so a hit can never replay a stale rejection or
-    /// a faulted answer; misses run the full degradation ladder exactly like
+    /// a faulted answer; misses run the degradation ladder exactly like
     /// [`CheckService::check`].
     ///
     /// The verdict is [`CheckReport::equivalent`] to what
@@ -359,84 +354,116 @@ impl CheckService {
     }
 
     /// The one serving path behind [`CheckService::check`] and (with
-    /// `incremental`) [`CheckService::check_incremental`]: validate the
-    /// library, replay report-cache hits when incremental, run every other
-    /// component through [`run_unit`] in component order, admit the fresh
-    /// clean verdicts when incremental, and fold the verdict with
-    /// [`lilac_core::verdict`]. The report-cache lock is never held while
-    /// units run.
+    /// `incremental`) [`CheckService::check_incremental`]:
+    /// [`lilac_core::check_against`] with [`CheckService::run_unit`] as the
+    /// per-component check and, when incremental, the report cache as its
+    /// store.
     fn serve(&self, program: &Program, incremental: bool) -> ServiceOutcome {
         let start = Instant::now();
         self.counters.programs.fetch_add(1, Ordering::Relaxed);
-        // Library errors are not a component's fault and take no ladder.
-        let lib = match CompLibrary::build(program) {
-            Ok(lib) => lib,
-            Err(e) => {
-                return ServiceOutcome {
-                    verdict: Err(e),
-                    degradations: Vec::new(),
-                    elapsed: start.elapsed(),
+        let cache = self.shared.lock().expect("cache handle poisoned").clone();
+        let mut degradations = Vec::new();
+        let store = incremental.then_some(&self.reports);
+        let checked = check_against(program, store, |lib, module| {
+            self.run_unit(lib, module, &cache, &mut degradations)
+        });
+        if incremental {
+            self.counters.report_hits.fetch_add(checked.hits as u64, Ordering::Relaxed);
+            self.counters.report_misses.fetch_add(checked.misses as u64, Ordering::Relaxed);
+        }
+        ServiceOutcome { verdict: checked.verdict, degradations, elapsed: start.elapsed() }
+    }
+
+    /// Runs one component through the degradation ladder, appending every
+    /// degradation event on the way to `degradations`. Each unit takes the
+    /// next fault site; replayed components never get here, so a
+    /// deterministic request stream addresses deterministic sites.
+    fn run_unit(
+        &self,
+        lib: &CompLibrary<'_>,
+        module: &Module,
+        cache: &SharedCache,
+        degradations: &mut Vec<CheckError>,
+    ) -> ComponentReport {
+        self.counters.units.fetch_add(1, Ordering::Relaxed);
+        let site = self.site_counter.fetch_add(1, Ordering::Relaxed);
+        let faults = &self.config.faults;
+        let name = module.name();
+
+        // Attempt 0: the optimized path — shared cache, deadline budget,
+        // faults armed.
+        let mut solver_config = self.config.solver_config.clone();
+        solver_config.shared_cache = Some(cache.clone());
+        let mut budget = match self.config.deadline {
+            Some(deadline) => QueryBudget::unlimited().expiring_in(deadline),
+            None => QueryBudget::unlimited(),
+        };
+        if faults.should(FaultKind::DeadlineExpiry, site) {
+            budget = budget.already_expired();
+        }
+        if faults.should(FaultKind::BudgetExhaustion, site) {
+            budget = budget.with_max_queries(1);
+        }
+        solver_config.budget = Some(budget);
+        let optimized = CheckOptions { solver_config, ..CheckOptions::default() };
+        let panic_site = faults.should(FaultKind::WorkerPanic, site).then_some(site);
+        let first = match attempt(lib, module, &optimized, panic_site) {
+            Ok(report) => return report,
+            Err(error) => error,
+        };
+        self.record_first_failure(&first);
+
+        // The fallback: the naive path (no slicing, no cache, no budget —
+        // and no faults). It is deterministic, so a failure here is final.
+        if !self.config.backoff.is_zero() {
+            std::thread::sleep(self.config.backoff);
+        }
+        match attempt(lib, module, &CheckOptions::naive(), None) {
+            Ok(mut report) => {
+                self.counters.degraded_units.fetch_add(1, Ordering::Relaxed);
+                let marker = CheckError::new(
+                    CheckErrorKind::Degraded,
+                    Severity::Recoverable,
+                    format!("verdict supplied by naive fallback after: {}", first.detail),
+                )
+                .for_component(name.as_str())
+                .at_attempt(1);
+                degradations.extend([first, marker.clone()]);
+                report.degraded = Some(marker);
+                report
+            }
+            // Still no process abort, still isolated to this component.
+            Err(error) => {
+                self.counters.failed_units.fetch_add(1, Ordering::Relaxed);
+                let fatal = CheckError::new(
+                    CheckErrorKind::Degraded,
+                    Severity::Fatal,
+                    format!("component check failed after 2 attempts: {}", error.detail),
+                )
+                .for_component(name.as_str())
+                .at_attempt(1);
+                degradations.extend([first, error.at_attempt(1), fatal.clone()]);
+                ComponentReport {
+                    name,
+                    obligations: 0,
+                    proved: 0,
+                    diagnostics: vec![fatal.to_diagnostic()],
+                    elapsed: Duration::ZERO,
+                    solver_stats: Default::default(),
+                    degraded: Some(fatal),
+                    lints: Vec::new(),
                 }
             }
-        };
-        let comps: Vec<(&Module, Option<ComponentHash>)> = lib
-            .iter()
-            .filter(|m| matches!(m.kind, ModuleKind::Comp { .. }))
-            .map(|m| (m, incremental.then(|| component_hash(&lib, m))))
-            .collect();
-        // Every lookup happens before any fresh verdict is admitted, so a
-        // request's hit count never depends on its own misses.
-        let replays: Vec<Option<ComponentReport>> = if incremental {
-            let reports = self.reports.lock().expect("report cache poisoned");
-            comps
-                .iter()
-                .map(|(module, hash)| hash.and_then(|h| reports.lookup(h, module.name())))
-                .collect()
-        } else {
-            comps.iter().map(|_| None).collect()
-        };
-        let misses = replays.iter().filter(|replay| replay.is_none()).count() as u64;
-        if incremental {
-            let hits = comps.len() as u64 - misses;
-            self.counters.report_hits.fetch_add(hits, Ordering::Relaxed);
-            self.counters.report_misses.fetch_add(misses, Ordering::Relaxed);
         }
-        let cache = self.shared.lock().expect("cache handle poisoned").clone();
-        // One block of consecutive fault sites per request, numbered in
-        // component order, so a deterministic request stream addresses
-        // deterministic sites.
-        let mut site = self.site_counter.fetch_add(misses, Ordering::Relaxed);
-        let mut degradations = Vec::new();
-        let mut fresh = Vec::new();
-        let components: Vec<ComponentReport> = comps
-            .iter()
-            .zip(replays)
-            .enumerate()
-            .map(|(index, (&(module, hash), replay))| {
-                replay.unwrap_or_else(|| {
-                    let unit = UnitContext {
-                        lib: &lib,
-                        module,
-                        config: &self.config,
-                        cache: &cache,
-                        counters: &self.counters,
-                        site,
-                    };
-                    site += 1;
-                    let (report, errors) = run_unit(&unit);
-                    degradations.extend(errors);
-                    fresh.extend(hash.map(|hash| (hash, index)));
-                    report
-                })
-            })
-            .collect();
-        if !fresh.is_empty() {
-            let mut reports = self.reports.lock().expect("report cache poisoned");
-            for (hash, index) in fresh {
-                reports.insert(hash, &components[index]);
-            }
-        }
-        ServiceOutcome { verdict: verdict(components), degradations, elapsed: start.elapsed() }
+    }
+
+    fn record_first_failure(&self, error: &CheckError) {
+        let counter = match error.kind {
+            CheckErrorKind::DeadlineExpired => &self.counters.deadline_expiries,
+            CheckErrorKind::BudgetExhausted => &self.counters.budget_exhaustions,
+            _ => &self.counters.panics_caught,
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Saves the report cache to [`ServiceConfig::report_cache_path`].
@@ -450,8 +477,7 @@ impl CheckService {
         let Some(path) = &self.config.report_cache_path else {
             return Ok(None);
         };
-        let cache = self.reports.lock().expect("report cache poisoned").clone();
-        cache.save(path).map(Some)
+        self.reports.save(path).map(Some)
     }
 
     /// Simulates a netlist through the compiled [`SimBackend`] on the
@@ -575,103 +601,6 @@ fn run_sim_unit(netlist: &Netlist, request: &SimRequest) -> Result<SimTrace, Che
     Ok(SimTrace { values })
 }
 
-/// Everything one unit borrows from its request and its service.
-struct UnitContext<'a> {
-    lib: &'a CompLibrary<'a>,
-    module: &'a Module,
-    config: &'a ServiceConfig,
-    cache: &'a SharedCache,
-    counters: &'a Counters,
-    site: u64,
-}
-
-/// Runs one component through the degradation ladder. Returns the report
-/// plus every degradation event encountered on the way.
-fn run_unit(unit: &UnitContext<'_>) -> (ComponentReport, Vec<CheckError>) {
-    unit.counters.units.fetch_add(1, Ordering::Relaxed);
-    let mut degradations: Vec<CheckError> = Vec::new();
-
-    // Attempt 0: the optimized path — shared cache, deadline budget, faults
-    // armed.
-    let mut solver_config = unit.config.solver_config.clone();
-    solver_config.shared_cache = Some(unit.cache.clone());
-    let mut budget = match unit.config.deadline {
-        Some(deadline) => QueryBudget::unlimited().expiring_in(deadline),
-        None => QueryBudget::unlimited(),
-    };
-    if unit.config.faults.should(FaultKind::DeadlineExpiry, unit.site) {
-        budget = budget.already_expired();
-    }
-    if unit.config.faults.should(FaultKind::BudgetExhaustion, unit.site) {
-        budget = budget.with_max_queries(1);
-    }
-    solver_config.budget = Some(budget);
-    let optimized = CheckOptions { solver_config, ..CheckOptions::default() };
-    let inject_panic = unit.config.faults.should(FaultKind::WorkerPanic, unit.site);
-    match attempt(unit, &optimized, inject_panic) {
-        Ok(report) => return (report, degradations),
-        Err(error) => {
-            record_first_failure(unit.counters, &error);
-            degradations.push(error);
-        }
-    }
-
-    // Fallback ladder: the naive path (no slicing, no cache, no budget —
-    // and no faults), with capped exponential backoff between attempts.
-    let mut backoff = unit.config.backoff;
-    for retry in 1..=unit.config.retries {
-        if !backoff.is_zero() {
-            std::thread::sleep(backoff.min(unit.config.backoff_cap));
-        }
-        backoff = (backoff * 2).min(unit.config.backoff_cap);
-        unit.counters.retries.fetch_add(1, Ordering::Relaxed);
-        match attempt(unit, &CheckOptions::naive(), false) {
-            Ok(mut report) => {
-                unit.counters.degraded_units.fetch_add(1, Ordering::Relaxed);
-                let cause = degradations.last().expect("a failure preceded this retry");
-                let marker = CheckError::new(
-                    CheckErrorKind::Degraded,
-                    Severity::Recoverable,
-                    format!("verdict supplied by naive fallback after: {}", cause.detail),
-                )
-                .for_component(unit.module.name().as_str())
-                .at_attempt(retry);
-                degradations.push(marker.clone());
-                report.degraded = Some(marker);
-                return (report, degradations);
-            }
-            Err(error) => degradations.push(error.at_attempt(retry)),
-        }
-    }
-
-    // Ladder exhausted: a fatal, structured failure — still no process
-    // abort, still isolated to this component.
-    unit.counters.failed_units.fetch_add(1, Ordering::Relaxed);
-    let fatal = CheckError::new(
-        CheckErrorKind::Degraded,
-        Severity::Fatal,
-        format!(
-            "component check failed after {} attempt(s): {}",
-            unit.config.retries + 1,
-            degradations.last().map_or("unknown failure", |e| e.detail.as_str())
-        ),
-    )
-    .for_component(unit.module.name().as_str())
-    .at_attempt(unit.config.retries);
-    degradations.push(fatal.clone());
-    let report = ComponentReport {
-        name: unit.module.name(),
-        obligations: 0,
-        proved: 0,
-        diagnostics: vec![fatal.to_diagnostic()],
-        elapsed: Duration::ZERO,
-        solver_stats: Default::default(),
-        degraded: Some(fatal),
-        lints: Vec::new(),
-    };
-    (report, degradations)
-}
-
 thread_local! {
     /// True while this thread is inside a ladder rung, where panics are
     /// expected control flow (budget sentinels, injected faults) rather
@@ -708,20 +637,22 @@ fn quietly<R>(f: impl FnOnce() -> R) -> std::thread::Result<R> {
     result
 }
 
-/// One ladder rung: checks the unit's component under `options` inside
-/// `catch_unwind`, classifying any panic into a structured [`CheckError`].
+/// One ladder rung: checks `module` under `options` inside `catch_unwind`
+/// (panicking first with an [`InjectedPanic`] when `panic_site` is set),
+/// classifying any panic into a structured [`CheckError`].
 fn attempt(
-    unit: &UnitContext<'_>,
+    lib: &CompLibrary<'_>,
+    module: &Module,
     options: &CheckOptions,
-    inject_panic: bool,
+    panic_site: Option<u64>,
 ) -> Result<ComponentReport, CheckError> {
     quietly(|| {
-        if inject_panic {
-            std::panic::panic_any(InjectedPanic { site: unit.site });
+        if let Some(site) = panic_site {
+            std::panic::panic_any(InjectedPanic { site });
         }
-        check_component_with(unit.lib, unit.module, options)
+        check_component_with(lib, module, options)
     })
-    .map_err(|payload| classify(&*payload, unit.module.name()))
+    .map_err(|payload| classify(&*payload, module.name()))
 }
 
 /// Maps a panic payload to the structured error taxonomy.
@@ -755,31 +686,17 @@ fn classify(payload: &(dyn std::any::Any + Send), component: Symbol) -> CheckErr
     error.for_component(component.as_str())
 }
 
-fn record_first_failure(counters: &Counters, error: &CheckError) {
-    match error.kind {
-        CheckErrorKind::DeadlineExpired => {
-            counters.deadline_expiries.fetch_add(1, Ordering::Relaxed);
-        }
-        CheckErrorKind::BudgetExhausted => {
-            counters.budget_exhaustions.fetch_add(1, Ordering::Relaxed);
-        }
-        _ => {
-            counters.panics_caught.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lilac_ast::{Cmd, Constraint};
+    use lilac_ast::{Cmd, Constraint, ModuleKind};
     use lilac_core::{check_program_incremental, check_program_with};
     use lilac_designs::Design;
     use lilac_util::Span;
 
     fn quiet_config() -> ServiceConfig {
         ServiceConfig {
-            // No backoff in tests: the ladder's sleep is irrelevant to the
+            // No backoff in tests: the fallback's pause is irrelevant to the
             // properties under test.
             backoff: Duration::ZERO,
             ..ServiceConfig::default()
@@ -902,6 +819,45 @@ mod tests {
         let (kinds_b, stats_b) = run(3);
         assert_eq!(kinds_a, kinds_b, "same seed must replay the same fault schedule");
         assert_eq!(stats_a, stats_b);
+    }
+
+    /// Replays never reach the ladder, so they take no fault site: under a
+    /// seeded plan a full-hit request injects nothing, and the next checked
+    /// unit gets the same site it would have had without the replay.
+    #[test]
+    fn replayed_components_consume_no_fault_site() {
+        let program = Design::Fpu.program().expect("FPU parses");
+        // Re-request until every component's clean verdict is stored
+        // (faulted units are degraded, so they miss again next time).
+        let warmed = || {
+            let faults = FaultPlan::seeded(SEED);
+            let service =
+                CheckService::new(ServiceConfig { faults: faults.clone(), ..quiet_config() });
+            for _ in 0..32 {
+                let before = service.stats().report_misses;
+                service.check_incremental(&program);
+                if service.stats().report_misses == before {
+                    return (service, faults);
+                }
+            }
+            panic!("the report cache never filled");
+        };
+        const SEED: u64 = 2;
+        let (replayed, faults) = warmed();
+        let (control, _) = warmed();
+        let (injected, before) = (faults.total_injected(), replayed.stats());
+        let outcome = replayed.check_incremental(&program);
+        assert!(outcome.verdict.is_ok());
+        assert!(outcome.degradations.is_empty(), "a replay cannot degrade");
+        let after = replayed.stats();
+        assert_eq!(after.units, before.units, "a full-hit replay runs no unit");
+        assert_eq!(after.report_misses, before.report_misses, "the repeat is all hits");
+        assert_eq!(faults.total_injected(), injected, "a replay injects no fault");
+        // The replay took no site, so both services address the same sites.
+        let sites = |service: &CheckService| format!("{:?}", service.check(&program).degradations);
+        let next = sites(&replayed);
+        assert_ne!(next, "[]", "seed {SEED} must fault the next request for the pin to bite");
+        assert_eq!(next, sites(&control));
     }
 
     #[test]

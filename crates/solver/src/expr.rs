@@ -170,11 +170,6 @@ impl LinExpr {
         }
     }
 
-    /// Adds a constant.
-    pub fn add_constant(&mut self, value: i64) {
-        self.constant += value;
-    }
-
     /// Multiplies the whole expression by a scalar.
     pub fn scaled(&self, factor: i64) -> LinExpr {
         if factor == 0 {

@@ -407,42 +407,6 @@ impl SharedCache {
             .or_default()
             .push(SharedEntry { facts: std::sync::Arc::new(facts), goal, outcome });
     }
-
-    /// Merges every entry of `other` into `self`, skipping entries the
-    /// target bucket can already answer. "Already answer" uses the same
-    /// test as the lookup path — an alpha bijection witness, not literal
-    /// equality — because that is what decides whether a running solver
-    /// would have inserted the entry at all: two shards that each solve an
-    /// alpha-variant of one query insert two literal entries, but a single
-    /// sequential cache would have hit on the first and never stored the
-    /// second. This is the campaign fuzzer's shard-merge primitive: N
-    /// per-shard caches absorbed into one hold the same set of memoized
-    /// queries (up to renaming) a single sequential cache would.
-    pub fn absorb(&self, other: &SharedCache) {
-        if std::sync::Arc::ptr_eq(&self.entries, &other.entries) {
-            return;
-        }
-        let theirs = other.entries.lock().expect("shared cache poisoned");
-        let mut ours = self.entries.lock().expect("shared cache poisoned");
-        for (&hash, bucket) in theirs.iter() {
-            let target = ours.entry(hash).or_default();
-            for entry in bucket {
-                let duplicate = target.iter().any(|e| {
-                    e.facts.len() == entry.facts.len()
-                        && alpha::alpha_match(
-                            e.facts.iter(),
-                            &e.goal,
-                            entry.facts.iter(),
-                            &entry.goal,
-                        )
-                        .is_some()
-                });
-                if !duplicate {
-                    target.push(entry.clone());
-                }
-            }
-        }
-    }
 }
 
 /// A constraint-solving context: a scoped fact log, resource limits, and the
@@ -483,11 +447,6 @@ impl Solver {
         if fact != Pred::True {
             self.facts.push(fact);
         }
-    }
-
-    /// The facts in the current scope, oldest first.
-    pub fn facts_iter(&self) -> impl Iterator<Item = &Pred> {
-        self.facts.chain_from(self.facts.head).into_iter().map(|id| self.facts.pred(id))
     }
 
     /// Number of facts in the current scope.
