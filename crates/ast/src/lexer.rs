@@ -191,13 +191,16 @@ impl fmt::Display for TokenKind {
     }
 }
 
-/// A token: its kind, text (interned), numeric value for numbers, and span.
+/// A token: its kind, the interned text of a name, numeric value for
+/// numbers, and span.
 #[derive(Clone, Copy, Debug)]
 pub struct Token {
     /// Token kind.
     pub kind: TokenKind,
-    /// Interned token text (identifier name without `#`/`'`, string without
-    /// quotes).
+    /// Interned text of the tokens the parser reads as names: identifiers
+    /// (without `'`), parameters (without `#`), strings (without quotes) and
+    /// the `in` keyword, which is also a conventional port name. Every other
+    /// token carries the empty symbol: its kind says all there is.
     pub text: Symbol,
     /// Value for [`TokenKind::Number`] tokens; zero otherwise.
     pub value: u64,
@@ -243,6 +246,8 @@ pub fn lex(file: FileId, src: &str) -> Result<Vec<Token>> {
     let len = bytes.len();
 
     let span = |start: usize, end: usize| Span::new(file, start as u32, end as u32);
+    // Interning takes the global interner's lock, so only names pay for it.
+    let empty = Symbol::intern("");
 
     while i < len {
         let c = bytes[i] as char;
@@ -304,7 +309,11 @@ pub fn lex(file: FileId, src: &str) -> Result<Vec<Token>> {
             } else {
                 keyword(text).unwrap_or(TokenKind::Ident)
             };
-            tokens.push(Token { kind, text: Symbol::intern(text), value: 0, span: span(start, i) });
+            let text = match kind {
+                TokenKind::Ident | TokenKind::ParamIdent | TokenKind::In => Symbol::intern(text),
+                _ => empty,
+            };
+            tokens.push(Token { kind, text, value: 0, span: span(start, i) });
             continue;
         }
 
@@ -322,7 +331,7 @@ pub fn lex(file: FileId, src: &str) -> Result<Vec<Token>> {
             })?;
             tokens.push(Token {
                 kind: TokenKind::Number,
-                text: Symbol::intern(text),
+                text: empty,
                 value,
                 span: span(start, i),
             });
@@ -402,20 +411,10 @@ pub fn lex(file: FileId, src: &str) -> Result<Vec<Token>> {
             },
         };
         i += width;
-        tokens.push(Token {
-            kind,
-            text: Symbol::intern(&src[start..i]),
-            value: 0,
-            span: span(start, i),
-        });
+        tokens.push(Token { kind, text: empty, value: 0, span: span(start, i) });
     }
 
-    tokens.push(Token {
-        kind: TokenKind::Eof,
-        text: Symbol::intern("<eof>"),
-        value: 0,
-        span: span(len, len),
-    });
+    tokens.push(Token { kind: TokenKind::Eof, text: empty, value: 0, span: span(len, len) });
     Ok(tokens)
 }
 
@@ -479,6 +478,14 @@ mod tests {
         assert_eq!(toks[0].value, 42);
         assert_eq!(toks[1].kind, TokenKind::Str);
         assert_eq!(toks[1].text.as_str(), "flopoco");
+    }
+
+    #[test]
+    fn only_names_carry_text() {
+        let toks = lex(FileId(0), "in for 42 := ( x #P \"s\"").unwrap();
+        let texts: Vec<&str> = toks.iter().map(|t| t.text.as_str()).collect();
+        assert_eq!(texts, ["in", "", "", "", "", "x", "P", "s", ""]);
+        assert_eq!(toks[2].value, 42);
     }
 
     #[test]

@@ -828,6 +828,8 @@ mod tests {
         assert_eq!(m.sig.params.len(), 1);
         assert_eq!(m.sig.events.len(), 1);
         assert_eq!(m.sig.inputs.len(), 1);
+        // `in` is a keyword, but it names a port here.
+        assert_eq!(m.sig.inputs[0].name.as_str(), "in");
         assert_eq!(m.sig.outputs.len(), 1);
     }
 

@@ -36,10 +36,11 @@ use lilac_solver::{
     FactMark, LinExpr, Model, Outcome, Pred, Solver, SolverConfig, SolverStats, Term,
 };
 use lilac_util::diag::{CheckError, Diagnostic, ErrorReporter, LilacError, Result};
+use lilac_util::hash::FxHashMap;
 use lilac_util::intern::Symbol;
 use lilac_util::par::WorkerPanic;
 use lilac_util::span::Span;
-use std::collections::HashMap;
+use std::cell::Cell;
 use std::time::{Duration, Instant};
 
 /// Per-component summary produced by the checker.
@@ -381,21 +382,23 @@ struct BundleInfo {
     width: lilac_ast::ParamExpr,
 }
 
+/// The identity of an instantiation or invocation command: its name and the
+/// source offset of the command. Commands that reuse one name in different
+/// loops or branches denote different hardware, and the offset tells them
+/// apart without interning a name per command.
+type CmdId = (Symbol, u32);
+
 #[derive(Clone, Debug)]
 struct InvocationInfo {
     comp: Symbol,
-    /// Name of the instance this invocation uses (kept for diagnostics).
-    #[allow(dead_code)]
-    instance: Symbol,
-    /// Unique identity of this invocation command (distinguishes commands
-    /// that reuse the same name in different loops or branches).
-    uid: Symbol,
-    /// Unique identity of the instantiation command behind `instance`.
-    instance_uid: Symbol,
+    /// Identity of this invocation command.
+    uid: CmdId,
+    /// Identity of the instantiation command of the invoked instance.
+    instance_uid: CmdId,
     /// Instantiation arguments of the invoked instance.
     args: Vec<LinExpr>,
     /// Map from the callee's event names to absolute times.
-    schedule: HashMap<Symbol, LinExpr>,
+    schedule: FxHashMap<Symbol, LinExpr>,
 }
 
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
@@ -405,7 +408,7 @@ enum WriteKey {
     /// A bundle element.
     Bundle(Symbol),
     /// An input port of an invocation.
-    InvocationInput(Symbol, Symbol),
+    InvocationInput(CmdId, Symbol),
 }
 
 #[derive(Clone, Debug)]
@@ -457,38 +460,38 @@ struct Checker<'a> {
     sig: &'a Signature,
     solver: Solver,
     reporter: ErrorReporter,
-    instances: HashMap<Symbol, InstanceInfo>,
+    instances: FxHashMap<Symbol, InstanceInfo>,
     /// Loop variables (solver names) in scope when each instance was created.
     /// Instances created inside a loop are replicated per iteration during
     /// elaboration, so per-iteration uses of them never conflict. Keyed by
     /// the instantiation command's unique identity.
-    instance_loop_vars: HashMap<Symbol, Vec<Symbol>>,
-    /// Most recent unique identity for each instance name in scope.
-    instance_uid: HashMap<Symbol, Symbol>,
+    instance_loop_vars: FxHashMap<CmdId, Vec<Symbol>>,
     /// Invocations keyed by their unique identity.
-    invocations: HashMap<Symbol, InvocationInfo>,
+    invocations: FxHashMap<CmdId, InvocationInfo>,
     /// Most recent unique identity for each invocation name in scope.
-    invocation_uid: HashMap<Symbol, Symbol>,
-    bundles: HashMap<Symbol, BundleInfo>,
-    subst: HashMap<Symbol, LinExpr>,
+    invocation_uid: FxHashMap<Symbol, CmdId>,
+    bundles: FxHashMap<Symbol, BundleInfo>,
+    subst: FxHashMap<Symbol, LinExpr>,
     loop_vars: Vec<Symbol>,
     writes: Vec<WriteRecord>,
-    invokes: HashMap<Symbol, Vec<InvokeRecord>>,
+    invokes: FxHashMap<CmdId, Vec<InvokeRecord>>,
     obligations: usize,
     proved: usize,
-    fresh: u32,
+    /// Numbers the fresh solver variables of this check (loop variables and
+    /// conditional values); see [`LowerEnv::fresh`].
+    fresh: Cell<u32>,
     /// See [`CheckOptions::indexed_scopes`].
     indexed_scopes: bool,
     /// Solver configuration, kept to seed baseline-mode throwaway solvers.
     solver_config: SolverConfig,
     /// The component's own event variables, computed once.
-    own_events: HashMap<Symbol, LinExpr>,
+    own_events: FxHashMap<Symbol, LinExpr>,
     /// Memoized callee-port intervals per (invocation uid, port name): the
     /// lowering rebuilds the callee substitution and its output-parameter
     /// applications on every port access otherwise. The side facts produced
     /// by the lowering are replayed on every hit (assumption is idempotent —
     /// facts are content-interned).
-    port_interval_cache: HashMap<(Symbol, Symbol), Option<PortInterval>>,
+    port_interval_cache: FxHashMap<(CmdId, Symbol), Option<PortInterval>>,
 }
 
 /// A lowered availability interval plus the side facts its lowering emits.
@@ -504,26 +507,25 @@ impl<'a> Checker<'a> {
             indexed_scopes: options.indexed_scopes,
             solver_config: options.solver_config.clone(),
             reporter: ErrorReporter::new(),
-            instances: HashMap::new(),
-            instance_loop_vars: HashMap::new(),
-            instance_uid: HashMap::new(),
-            invocations: HashMap::new(),
-            invocation_uid: HashMap::new(),
-            bundles: HashMap::new(),
-            subst: HashMap::new(),
+            instances: FxHashMap::default(),
+            instance_loop_vars: FxHashMap::default(),
+            invocations: FxHashMap::default(),
+            invocation_uid: FxHashMap::default(),
+            bundles: FxHashMap::default(),
+            subst: FxHashMap::default(),
             loop_vars: Vec::new(),
             writes: Vec::new(),
-            invokes: HashMap::new(),
+            invokes: FxHashMap::default(),
             obligations: 0,
             proved: 0,
-            fresh: 0,
+            fresh: Cell::new(0),
             own_events: module
                 .sig
                 .events
                 .iter()
                 .map(|e| (e.name.name, event_var(e.name.name)))
                 .collect(),
-            port_interval_cache: HashMap::new(),
+            port_interval_cache: FxHashMap::default(),
         }
     }
 
@@ -545,7 +547,12 @@ impl<'a> Checker<'a> {
     }
 
     fn env(&self) -> LowerEnv<'_> {
-        LowerEnv { lib: self.lib, instances: &self.instances, subst: &self.subst }
+        LowerEnv {
+            lib: self.lib,
+            instances: &self.instances,
+            subst: &self.subst,
+            fresh: &self.fresh,
+        }
     }
 
     fn assume_signature_facts(&mut self) {
@@ -591,7 +598,7 @@ impl<'a> Checker<'a> {
 
     fn check_signature_timing(&mut self) {
         let sig: &'a Signature = self.sig;
-        let delays: HashMap<Symbol, &lilac_ast::ParamExpr> =
+        let delays: FxHashMap<Symbol, &lilac_ast::ParamExpr> =
             sig.events.iter().map(|e| (e.name.name, &e.delay)).collect();
         for port in &sig.inputs {
             if let PortType::Interface { .. } = port.ty {
@@ -776,12 +783,8 @@ impl<'a> Checker<'a> {
         }
         self.assume_all(facts);
         self.prove_obligations(obls);
-        // A unique identity per instantiation command: the same name declared
-        // in two different loops denotes two different pieces of hardware.
-        let uid = Symbol::intern(&format!("{name}@{}", span.start));
         self.instances.insert(name, InstanceInfo { comp, args, span });
-        self.instance_uid.insert(name, uid);
-        self.instance_loop_vars.insert(uid, self.loop_vars.clone());
+        self.instance_loop_vars.insert((name, span.start), self.loop_vars.clone());
     }
 
     fn register_invocation(
@@ -810,7 +813,7 @@ impl<'a> Checker<'a> {
             );
             return;
         }
-        let mut sched_map = HashMap::new();
+        let mut sched_map = FxHashMap::default();
         for (decl, time) in callee.events.iter().zip(schedule.iter()) {
             match lower_time(time, &self.own_events, &self.env()) {
                 Ok(lowered) => {
@@ -821,16 +824,14 @@ impl<'a> Checker<'a> {
                 Err(e) => self.push_error(e),
             }
         }
-        let uid = Symbol::intern(&format!("{name}@{}", span.start));
-        let instance_uid = self.instance_uid.get(&instance).copied().unwrap_or(instance);
+        let uid = (name, span.start);
         self.invocation_uid.insert(name, uid);
         self.invocations.insert(
             uid,
             InvocationInfo {
                 comp: info.comp,
-                instance,
                 uid,
-                instance_uid,
+                instance_uid: (instance, info.span.start),
                 args: info.args,
                 schedule: sched_map,
             },
@@ -907,8 +908,9 @@ impl<'a> Checker<'a> {
                 };
                 // Introduce a uniquely named loop variable and check the body
                 // symbolically for an arbitrary iteration.
-                self.fresh += 1;
-                let solver_name = Symbol::intern(&format!("#{}${}", var.name, self.fresh));
+                let n = self.fresh.get() + 1;
+                self.fresh.set(n);
+                let solver_name = Symbol::intern(&format!("#{}${n}", var.name));
                 let loop_var = LinExpr::from_term(Term::Var(solver_name), 1);
                 let mark = self.solver.mark();
                 let prev = self.subst.insert(var.name, loop_var.clone());
@@ -1318,14 +1320,19 @@ impl<'a> Checker<'a> {
                 None => None,
             };
         }
-        let mut subst: HashMap<Symbol, LinExpr> = HashMap::new();
+        let mut subst: FxHashMap<Symbol, LinExpr> = FxHashMap::default();
         for (decl, arg) in callee.params.iter().zip(inv.args.iter()) {
             subst.insert(decl.name.name, arg.clone());
         }
         for op in &callee.out_params {
             subst.insert(op.name.name, out_param_expr(callee, &inv.args, op.name.name));
         }
-        let env = LowerEnv { lib: self.lib, instances: &self.instances, subst: &subst };
+        let env = LowerEnv {
+            lib: self.lib,
+            instances: &self.instances,
+            subst: &subst,
+            fresh: &self.fresh,
+        };
         let start = lower_time(&port.liveness.start, &inv.schedule, &env);
         let end = lower_time(&port.liveness.end, &inv.schedule, &env);
         match (start, end) {
@@ -1345,8 +1352,8 @@ impl<'a> Checker<'a> {
         }
     }
 
-    fn callee_env(&self, inv: &InvocationInfo, callee: &Signature) -> HashMap<Symbol, LinExpr> {
-        let mut subst: HashMap<Symbol, LinExpr> = HashMap::new();
+    fn callee_env(&self, inv: &InvocationInfo, callee: &Signature) -> FxHashMap<Symbol, LinExpr> {
+        let mut subst: FxHashMap<Symbol, LinExpr> = FxHashMap::default();
         for (decl, arg) in callee.params.iter().zip(inv.args.iter()) {
             subst.insert(decl.name.name, arg.clone());
         }
@@ -1379,7 +1386,7 @@ impl<'a> Checker<'a> {
 
     fn check_write_conflicts(&mut self) {
         let writes = std::mem::take(&mut self.writes);
-        let mut by_key: HashMap<WriteKey, Vec<&WriteRecord>> = HashMap::new();
+        let mut by_key: FxHashMap<WriteKey, Vec<&WriteRecord>> = FxHashMap::default();
         for w in &writes {
             by_key.entry(w.key.clone()).or_default().push(w);
         }
@@ -1489,7 +1496,6 @@ impl<'a> Checker<'a> {
         };
 
         self.obligations += 1;
-        let target = describe_write_key(key);
         match key {
             WriteKey::Bundle(_) => {
                 // Must prove the element indices differ.
@@ -1504,7 +1510,7 @@ impl<'a> Checker<'a> {
                     Outcome::Disproved(model) => {
                         self.reporter.report(
                             Diagnostic::error(
-                                format!("{target} may be driven more than once"),
+                                format!("{} may be driven more than once", describe_write_key(key)),
                                 a.span,
                             )
                             .with_note_at("conflicting driver here", b.span)
@@ -1514,7 +1520,10 @@ impl<'a> Checker<'a> {
                     Outcome::Unknown => {
                         self.reporter.report(
                             Diagnostic::error(
-                                format!("cannot prove {target} has a single driver"),
+                                format!(
+                                    "cannot prove {} has a single driver",
+                                    describe_write_key(key)
+                                ),
                                 a.span,
                             )
                             .with_note_at("conflicting driver here", b.span),
@@ -1528,8 +1537,11 @@ impl<'a> Checker<'a> {
                 let consistent = self.pair_consistent(&a.scope, b_facts);
                 if consistent {
                     self.reporter.report(
-                        Diagnostic::error(format!("{target} is driven more than once"), a.span)
-                            .with_note_at("conflicting driver here", b.span),
+                        Diagnostic::error(
+                            format!("{} is driven more than once", describe_write_key(key)),
+                            a.span,
+                        )
+                        .with_note_at("conflicting driver here", b.span),
                     );
                 } else {
                     self.proved += 1;
@@ -1546,13 +1558,13 @@ impl<'a> Checker<'a> {
             Err(_) => LinExpr::constant(1),
         };
         let invokes = std::mem::take(&mut self.invokes);
-        for (instance, records) in invokes {
+        for (uid, records) in invokes {
+            let (instance, _) = uid;
             // Cross-iteration reuse: an instance declared outside a loop but
             // invoked inside it is the same physical hardware on every
             // iteration, so invocations from distinct iterations must also be
             // separated by its initiation interval.
-            let decl_loop_vars =
-                self.instance_loop_vars.get(&instance).cloned().unwrap_or_default();
+            let decl_loop_vars = self.instance_loop_vars.get(&uid).cloned().unwrap_or_default();
             for rec in &records {
                 let extra: Vec<Symbol> =
                     rec.loop_vars.iter().filter(|v| !decl_loop_vars.contains(v)).copied().collect();
@@ -1800,7 +1812,7 @@ fn describe_write_key(key: &WriteKey) -> String {
     match key {
         WriteKey::OutputPort(p) => format!("output port `{p}`"),
         WriteKey::Bundle(b) => format!("an element of bundle `{b}`"),
-        WriteKey::InvocationInput(i, p) => format!("input `{p}` of invocation `{i}`"),
+        WriteKey::InvocationInput((i, _), p) => format!("input `{p}` of invocation `{i}`"),
     }
 }
 
@@ -1830,10 +1842,11 @@ fn rename_pred_terms(p: &Pred, renames: &[(Term, LinExpr)]) -> Pred {
 /// lowering fails.
 fn lower_param_expr_with(
     e: &lilac_ast::ParamExpr,
-    subst: &HashMap<Symbol, LinExpr>,
+    subst: &FxHashMap<Symbol, LinExpr>,
     checker: &mut Checker<'_>,
 ) -> Option<LinExpr> {
-    let env = LowerEnv { lib: checker.lib, instances: &checker.instances, subst };
+    let env =
+        LowerEnv { lib: checker.lib, instances: &checker.instances, subst, fresh: &checker.fresh };
     match lower_param_expr(e, &env) {
         Ok(l) => {
             for f in l.facts {
@@ -2053,6 +2066,23 @@ mod tests {
             "#,
         );
         assert!(msg.contains("driven more than once"), "{msg}");
+    }
+
+    #[test]
+    fn double_driven_invocation_input_names_the_invocation() {
+        // The argument and the connection both drive `x.in`. The diagnostic
+        // names the invocation as written, not its internal identity.
+        let msg = check_err(
+            r#"
+            comp Dup[#W]<G:1>(i: [G, G+1] #W, j: [G, G+1] #W) -> (o: [G+1, G+2] #W) {
+                R := new Reg[#W];
+                x := R<G>(i);
+                x.in = j;
+                o = x.out;
+            }
+            "#,
+        );
+        assert!(msg.contains("input `in` of invocation `x` is driven more than once"), "{msg}");
     }
 
     #[test]

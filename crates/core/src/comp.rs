@@ -8,14 +8,14 @@
 
 use lilac_ast::{Module, ModuleKind, PortType, Program, Signature};
 use lilac_util::diag::{Diagnostic, ErrorReporter, Result};
+use lilac_util::hash::FxHashMap;
 use lilac_util::intern::Symbol;
-use std::collections::HashMap;
 
 /// An indexed view of a program's modules.
 #[derive(Clone, Debug)]
 pub struct CompLibrary<'p> {
     program: &'p Program,
-    by_name: HashMap<Symbol, usize>,
+    by_name: FxHashMap<Symbol, usize>,
 }
 
 impl<'p> CompLibrary<'p> {
@@ -26,7 +26,7 @@ impl<'p> CompLibrary<'p> {
     /// Reports duplicate module definitions and malformed signatures.
     pub fn build(program: &'p Program) -> Result<CompLibrary<'p>> {
         let mut reporter = ErrorReporter::new();
-        let mut by_name = HashMap::new();
+        let mut by_name = FxHashMap::default();
         for (idx, module) in program.modules.iter().enumerate() {
             let name = module.name();
             if let Some(&prev) = by_name.get(&name) {
@@ -101,7 +101,7 @@ impl<'p> CompLibrary<'p> {
 /// Structural well-formedness checks on a signature.
 fn check_signature(sig: &Signature, reporter: &mut ErrorReporter) {
     // Duplicate parameter names.
-    let mut seen = HashMap::new();
+    let mut seen = FxHashMap::default();
     for p in &sig.params {
         if let Some(_prev) = seen.insert(p.name.name, p.name.span) {
             reporter.error(
@@ -122,14 +122,14 @@ fn check_signature(sig: &Signature, reporter: &mut ErrorReporter) {
         }
     }
     // Duplicate events.
-    let mut events = HashMap::new();
+    let mut events = FxHashMap::default();
     for e in &sig.events {
         if events.insert(e.name.name, e.name.span).is_some() {
             reporter.error(format!("duplicate event `{}` in `{}`", e.name, sig.name), e.name.span);
         }
     }
     // Duplicate port names; intervals must be anchored on declared events.
-    let mut ports = HashMap::new();
+    let mut ports = FxHashMap::default();
     for port in sig.inputs.iter().chain(sig.outputs.iter()) {
         if ports.insert(port.name.name, port.name.span).is_some() {
             reporter

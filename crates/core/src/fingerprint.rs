@@ -38,8 +38,8 @@ use lilac_ast::{
     Access, Cmd, Constraint, Ident, Interval, Module, ModuleKind, ParamExpr, PortDecl, PortType,
     Signature, TimeExpr,
 };
+use lilac_util::hash::{FxHashMap, FxHashSet};
 use lilac_util::intern::Symbol;
-use std::collections::{HashMap, HashSet};
 
 /// The 128-bit content address of one component's checking inputs.
 ///
@@ -130,9 +130,9 @@ enum Ns {
 struct Hasher<'p> {
     lib: &'p CompLibrary<'p>,
     s: Stream,
-    idx: HashMap<(Ns, Symbol), u32>,
+    idx: FxHashMap<(Ns, Symbol), u32>,
     deps: Vec<Symbol>,
-    queued: HashSet<Symbol>,
+    queued: FxHashSet<Symbol>,
 }
 
 impl<'p> Hasher<'p> {
@@ -140,9 +140,9 @@ impl<'p> Hasher<'p> {
         Hasher {
             lib,
             s: Stream::new(),
-            idx: HashMap::new(),
+            idx: FxHashMap::default(),
             deps: Vec::new(),
-            queued: HashSet::new(),
+            queued: FxHashSet::default(),
         }
     }
 

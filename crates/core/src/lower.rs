@@ -18,10 +18,10 @@ use crate::comp::CompLibrary;
 use lilac_ast::{BinOp, CmpOp, Constraint, ParamExpr, Signature, TimeExpr, UnOp};
 use lilac_solver::{LinExpr, Pred, Term};
 use lilac_util::diag::{Diagnostic, LilacError, Result};
+use lilac_util::hash::FxHashMap;
 use lilac_util::intern::Symbol;
 use lilac_util::span::Span;
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU32, Ordering};
+use std::cell::Cell;
 
 /// A proof obligation produced during lowering or checking.
 #[derive(Clone, Debug)]
@@ -67,33 +67,43 @@ pub struct InstanceInfo {
     pub span: Span,
 }
 
-/// The lowering environment: component library, instance table, and the
+/// The lowering environment: component library, instance table, the
 /// parameter substitution currently in effect (loop-variable renamings and
-/// callee parameter bindings).
+/// callee parameter bindings), and the counter that names fresh variables.
 pub struct LowerEnv<'a> {
     /// The component library for resolving `Comp[..]::#P` accesses.
     pub lib: &'a CompLibrary<'a>,
     /// Instances visible in the current component body.
-    pub instances: &'a HashMap<Symbol, InstanceInfo>,
+    pub instances: &'a FxHashMap<Symbol, InstanceInfo>,
     /// Substitution applied to bare parameter references.
-    pub subst: &'a HashMap<Symbol, LinExpr>,
+    pub subst: &'a FxHashMap<Symbol, LinExpr>,
+    /// Fresh-variable counter of the current check. Names only need to be
+    /// unique within one solver, so each check numbers its own from zero
+    /// and the interner holds a few names per check shape, not one per
+    /// conditional ever lowered.
+    pub fresh: &'a Cell<u32>,
 }
 
-static FRESH: AtomicU32 = AtomicU32::new(0);
+impl LowerEnv<'_> {
+    /// The same environment with `subst` in place of its substitution.
+    fn with_subst<'b>(&'b self, subst: &'b FxHashMap<Symbol, LinExpr>) -> LowerEnv<'b> {
+        LowerEnv { lib: self.lib, instances: self.instances, subst, fresh: self.fresh }
+    }
 
-/// Returns a fresh solver variable, used to name conditional expressions and
-/// division/remainder results.
-pub fn fresh_var(prefix: &str) -> Term {
-    let n = FRESH.fetch_add(1, Ordering::Relaxed);
-    Term::Var(Symbol::intern(&format!("{prefix}${n}")))
+    /// A fresh solver variable naming a conditional expression's value.
+    fn fresh_ite(&self) -> Term {
+        let n = self.fresh.get();
+        self.fresh.set(n + 1);
+        Term::Var(Symbol::intern(&format!("$ite${n}")))
+    }
 }
 
 thread_local! {
     /// Memo for the formatted solver names below: the formatting and the
     /// global-interner lock would otherwise run on every single lowering
     /// step of the hot check path.
-    static NAME_MEMO: std::cell::RefCell<std::collections::HashMap<(u8, Symbol, Symbol), Symbol>> =
-        std::cell::RefCell::new(std::collections::HashMap::new());
+    static NAME_MEMO: std::cell::RefCell<FxHashMap<(u8, Symbol, Symbol), Symbol>> =
+        std::cell::RefCell::new(FxHashMap::default());
 }
 
 fn memoized_symbol(kind: u8, a: Symbol, b: Symbol, make: impl FnOnce() -> String) -> Symbol {
@@ -212,7 +222,7 @@ pub fn lower_param_expr(e: &ParamExpr, env: &LowerEnv<'_>) -> Result<Lowered> {
                 let la = go(a, env, facts, obligations)?;
                 let lb = go(b, env, facts, obligations)?;
                 // Encode with a fresh variable v: (c ⇒ v == a) ∧ (¬c ⇒ v == b).
-                let v = LinExpr::from_term(fresh_var("$ite"), 1);
+                let v = LinExpr::from_term(env.fresh_ite(), 1);
                 facts.push(cond.clone().implies(Pred::eq(v.clone(), la)));
                 facts.push(cond.negate().implies(Pred::eq(v.clone(), lb)));
                 Ok(v)
@@ -259,13 +269,11 @@ pub fn resolve_param_args(
         match &decl.default {
             Some(default) => {
                 // Defaults may reference earlier parameters of the callee.
-                let mut callee_subst: HashMap<Symbol, LinExpr> = HashMap::new();
+                let mut callee_subst: FxHashMap<Symbol, LinExpr> = FxHashMap::default();
                 for (d, a) in sig.params.iter().zip(args.iter()) {
                     callee_subst.insert(d.name.name, a.clone());
                 }
-                let callee_env =
-                    LowerEnv { lib: env.lib, instances: env.instances, subst: &callee_subst };
-                let lowered = lower_param_expr(default, &callee_env)?;
+                let lowered = lower_param_expr(default, &env.with_subst(&callee_subst))?;
                 facts.extend(lowered.facts);
                 obligations.extend(lowered.obligations);
                 args.push(lowered.expr);
@@ -330,14 +338,14 @@ pub fn instantiation_conditions(
     // Build the substitution for the callee's parameters: input parameters
     // map to the provided arguments, output parameters map to their
     // uninterpreted applications.
-    let mut subst: HashMap<Symbol, LinExpr> = HashMap::new();
+    let mut subst: FxHashMap<Symbol, LinExpr> = FxHashMap::default();
     for (decl, arg) in sig.params.iter().zip(args.iter()) {
         subst.insert(decl.name.name, arg.clone());
     }
     for op in &sig.out_params {
         subst.insert(op.name.name, out_param_expr(sig, args, op.name.name));
     }
-    let callee_env = LowerEnv { lib: env.lib, instances: env.instances, subst: &subst };
+    let callee_env = env.with_subst(&subst);
 
     let mut facts = Vec::new();
     let mut obligations = Vec::new();
@@ -439,7 +447,7 @@ fn lower_sub(
 /// invocation's schedule.
 pub fn lower_time(
     t: &TimeExpr,
-    events: &HashMap<Symbol, LinExpr>,
+    events: &FxHashMap<Symbol, LinExpr>,
     env: &LowerEnv<'_>,
 ) -> Result<Lowered> {
     let mut lowered = lower_param_expr(&t.offset, env)?;
@@ -468,12 +476,35 @@ mod tests {
     }
 
     #[test]
+    fn conditional_values_are_numbered_per_check() {
+        let (prog, _) = parse_program("t.lilac", max_lib_src()).unwrap();
+        let lib = CompLibrary::build(&prog).unwrap();
+        let instances = FxHashMap::default();
+        let subst = FxHashMap::default();
+        let cond = ParamExpr::Cond(
+            Box::new(Constraint::Cmp(CmpOp::Gt, ParamExpr::param("A"), ParamExpr::param("B"))),
+            Box::new(ParamExpr::param("A")),
+            Box::new(ParamExpr::param("B")),
+        );
+        let ite_names = || {
+            let env =
+                LowerEnv { lib: &lib, instances: &instances, subst: &subst, fresh: &Cell::new(0) };
+            [0, 1].map(|_| lower_param_expr(&cond, &env).unwrap().expr.to_string())
+        };
+        // Distinct within one check, and the same names again in the next.
+        let first = ite_names();
+        assert_eq!(first, ["$ite$0", "$ite$1"]);
+        assert_eq!(ite_names(), first);
+    }
+
+    #[test]
     fn lower_arithmetic() {
         let (prog, _) = parse_program("t.lilac", max_lib_src()).unwrap();
         let lib = CompLibrary::build(&prog).unwrap();
-        let instances = HashMap::new();
-        let subst = HashMap::new();
-        let env = LowerEnv { lib: &lib, instances: &instances, subst: &subst };
+        let instances = FxHashMap::default();
+        let subst = FxHashMap::default();
+        let env =
+            LowerEnv { lib: &lib, instances: &instances, subst: &subst, fresh: &Cell::new(0) };
         let e = ParamExpr::add(ParamExpr::param("W"), ParamExpr::Nat(3));
         let lowered = lower_param_expr(&e, &env).unwrap();
         assert_eq!(lowered.expr, LinExpr::var("#W") + LinExpr::constant(3));
@@ -485,9 +516,10 @@ mod tests {
     fn lower_comp_access_produces_uf_and_facts() {
         let (prog, _) = parse_program("t.lilac", max_lib_src()).unwrap();
         let lib = CompLibrary::build(&prog).unwrap();
-        let instances = HashMap::new();
-        let subst = HashMap::new();
-        let env = LowerEnv { lib: &lib, instances: &instances, subst: &subst };
+        let instances = FxHashMap::default();
+        let subst = FxHashMap::default();
+        let env =
+            LowerEnv { lib: &lib, instances: &instances, subst: &subst, fresh: &Cell::new(0) };
         // Max[#X, #Y]::#O
         let e = ParamExpr::CompAccess {
             comp: lilac_ast::Ident::synthetic("Max"),
@@ -512,7 +544,7 @@ mod tests {
     fn lower_inst_access_uses_instantiation_args() {
         let (prog, _) = parse_program("t.lilac", max_lib_src()).unwrap();
         let lib = CompLibrary::build(&prog).unwrap();
-        let mut instances = HashMap::new();
+        let mut instances = FxHashMap::default();
         instances.insert(
             Symbol::intern("Add"),
             InstanceInfo {
@@ -521,8 +553,9 @@ mod tests {
                 span: Span::dummy(),
             },
         );
-        let subst = HashMap::new();
-        let env = LowerEnv { lib: &lib, instances: &instances, subst: &subst };
+        let subst = FxHashMap::default();
+        let env =
+            LowerEnv { lib: &lib, instances: &instances, subst: &subst, fresh: &Cell::new(0) };
         let e = ParamExpr::InstAccess {
             instance: lilac_ast::Ident::synthetic("Add"),
             param: lilac_ast::Ident::synthetic("L"),
@@ -541,9 +574,10 @@ mod tests {
     fn unknown_component_and_param_errors() {
         let (prog, _) = parse_program("t.lilac", max_lib_src()).unwrap();
         let lib = CompLibrary::build(&prog).unwrap();
-        let instances = HashMap::new();
-        let subst = HashMap::new();
-        let env = LowerEnv { lib: &lib, instances: &instances, subst: &subst };
+        let instances = FxHashMap::default();
+        let subst = FxHashMap::default();
+        let env =
+            LowerEnv { lib: &lib, instances: &instances, subst: &subst, fresh: &Cell::new(0) };
         let unknown_comp = ParamExpr::CompAccess {
             comp: lilac_ast::Ident::synthetic("Nope"),
             args: vec![],
@@ -567,9 +601,10 @@ mod tests {
     fn conditional_lowering_is_definable() {
         let (prog, _) = parse_program("t.lilac", max_lib_src()).unwrap();
         let lib = CompLibrary::build(&prog).unwrap();
-        let instances = HashMap::new();
-        let subst = HashMap::new();
-        let env = LowerEnv { lib: &lib, instances: &instances, subst: &subst };
+        let instances = FxHashMap::default();
+        let subst = FxHashMap::default();
+        let env =
+            LowerEnv { lib: &lib, instances: &instances, subst: &subst, fresh: &Cell::new(0) };
         // #W < 12 ? 8 : 4
         let e = ParamExpr::Cond(
             Box::new(Constraint::Cmp(CmpOp::Lt, ParamExpr::param("W"), ParamExpr::Nat(12))),
@@ -592,10 +627,11 @@ mod tests {
     fn time_lowering_resolves_events() {
         let (prog, _) = parse_program("t.lilac", max_lib_src()).unwrap();
         let lib = CompLibrary::build(&prog).unwrap();
-        let instances = HashMap::new();
-        let subst = HashMap::new();
-        let env = LowerEnv { lib: &lib, instances: &instances, subst: &subst };
-        let mut events = HashMap::new();
+        let instances = FxHashMap::default();
+        let subst = FxHashMap::default();
+        let env =
+            LowerEnv { lib: &lib, instances: &instances, subst: &subst, fresh: &Cell::new(0) };
+        let mut events = FxHashMap::default();
         events.insert(Symbol::intern("G"), event_var(Symbol::intern("G")));
         let t = TimeExpr::at("G", 3);
         let lowered = lower_time(&t, &events, &env).unwrap();
@@ -612,9 +648,10 @@ mod tests {
         )
         .unwrap();
         let lib = CompLibrary::build(&prog).unwrap();
-        let instances = HashMap::new();
-        let subst = HashMap::new();
-        let env = LowerEnv { lib: &lib, instances: &instances, subst: &subst };
+        let instances = FxHashMap::default();
+        let subst = FxHashMap::default();
+        let env =
+            LowerEnv { lib: &lib, instances: &instances, subst: &subst, fresh: &Cell::new(0) };
         let sig = lib.signature(Symbol::intern("FF")).unwrap();
         let mut facts = Vec::new();
         let mut obls = Vec::new();

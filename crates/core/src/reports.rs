@@ -31,8 +31,9 @@ use lilac_solver::persist::{
     open_image, quarantine_image, save_image, seal_image, CacheLoadError, CacheLoadStatus,
 };
 use lilac_solver::SolverStats;
+use lilac_util::hash::FxHashMap;
 use lilac_util::intern::Symbol;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::path::Path;
 use std::sync::{Mutex, MutexGuard};
 use std::time::Duration;
@@ -63,7 +64,7 @@ pub struct PriorReports {
 /// The store's contents: the map plus its insertion order for eviction.
 #[derive(Debug)]
 struct Entries {
-    map: HashMap<u128, Entry>,
+    map: FxHashMap<u128, Entry>,
     order: VecDeque<u128>,
     capacity: usize,
 }
@@ -113,8 +114,11 @@ impl PriorReports {
 
     /// An empty store holding at most `capacity` entries.
     pub(crate) fn with_capacity(capacity: usize) -> PriorReports {
-        let entries =
-            Entries { map: HashMap::new(), order: VecDeque::new(), capacity: capacity.max(1) };
+        let entries = Entries {
+            map: FxHashMap::default(),
+            order: VecDeque::new(),
+            capacity: capacity.max(1),
+        };
         PriorReports { entries: Mutex::new(entries) }
     }
 

@@ -55,9 +55,10 @@ use lilac_core::CompLibrary;
 use lilac_gen::{GenRequest, GeneratorRegistry};
 use lilac_ir::{Netlist, NodeId, NodeKind};
 use lilac_util::diag::{Diagnostic, LilacError, Result};
+use lilac_util::hash::FxHashMap;
 use lilac_util::intern::Symbol;
 use lilac_util::span::Span;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::rc::Rc;
 
 /// Configuration for elaboration. The netlist is returned raw: callers
@@ -119,7 +120,7 @@ pub fn elaborate_module(
 ) -> Result<ElabModule> {
     let lib = CompLibrary::build(program)?;
     let args: BTreeMap<Symbol, u64> = params.iter().map(|(k, v)| (Symbol::intern(k), *v)).collect();
-    let mut elab = Elaborator { lib: &lib, config, memo: HashMap::new() };
+    let mut elab = Elaborator { lib: &lib, config, memo: FxHashMap::default() };
     let module = elab.elaborate(Symbol::intern(top), &args, 0, Span::dummy())?;
     // Dropping the memo leaves the top unshared, so it is moved, not cloned.
     drop(elab);
@@ -133,7 +134,7 @@ struct Elaborator<'a> {
     config: &'a ElabConfig,
     /// Elaborated components by name and arguments. Shared, not cloned, on
     /// a hit: callers mostly read only `out_params` or output names.
-    memo: HashMap<MemoKey, Rc<ElabModule>>,
+    memo: FxHashMap<MemoKey, Rc<ElabModule>>,
 }
 
 /// A component name and its argument values, in parameter-name order.
@@ -413,7 +414,7 @@ impl<'a> Elaborator<'a> {
                         params: arg_map.clone(),
                         out_params: BTreeMap::new(),
                         loop_suffix: Vec::new(),
-                        instances: HashMap::new(),
+                        instances: FxHashMap::default(),
                         span,
                     };
                     let v = self.eval_expr(default, &mut callee_env, depth, span)?;
@@ -720,7 +721,7 @@ fn port_element_count(
         params: args.clone(),
         out_params: BTreeMap::new(),
         loop_suffix: Vec::new(),
-        instances: HashMap::new(),
+        instances: FxHashMap::default(),
         span,
     };
     let mut total = 1u64;
@@ -750,7 +751,7 @@ struct EvalEnv {
     /// Current loop-iteration indices, used to give per-iteration instances
     /// unique names.
     loop_suffix: Vec<u64>,
-    instances: HashMap<String, InstanceElab>,
+    instances: FxHashMap<String, InstanceElab>,
     /// Source location of the enclosing component (kept for diagnostics).
     #[allow(dead_code)]
     span: Span,
@@ -776,7 +777,7 @@ impl EvalEnv {
             params,
             out_params: BTreeMap::new(),
             loop_suffix: Vec::new(),
-            instances: HashMap::new(),
+            instances: FxHashMap::default(),
             span,
         })
     }
@@ -825,8 +826,8 @@ enum SignalDef {
 
 struct CompBuilder {
     netlist: Netlist,
-    signals: HashMap<String, SignalDef>,
-    bundles: HashMap<Symbol, (Vec<u64>, u32)>,
+    signals: FxHashMap<String, SignalDef>,
+    bundles: FxHashMap<Symbol, (Vec<u64>, u32)>,
     instances: Vec<PendingInstance>,
     /// dst signal <- src signal connections recorded during unrolling.
     connects: Vec<(String, String, Span)>,
@@ -835,7 +836,7 @@ struct CompBuilder {
 impl CompBuilder {
     fn new(sig: &Signature, env: &EvalEnv) -> Result<CompBuilder> {
         let mut netlist = Netlist::new(sig.name.as_str());
-        let mut signals = HashMap::new();
+        let mut signals = FxHashMap::default();
         // Declare flattened module inputs.
         for port in &sig.inputs {
             if let PortType::Interface { .. } = port.ty {
@@ -867,7 +868,7 @@ impl CompBuilder {
         Ok(CompBuilder {
             netlist,
             signals,
-            bundles: HashMap::new(),
+            bundles: FxHashMap::default(),
             instances: Vec::new(),
             connects: Vec::new(),
         })
@@ -1128,7 +1129,7 @@ impl CompBuilder {
                 inst.span,
             ));
         }
-        let mut driver_map = HashMap::new();
+        let mut driver_map = FxHashMap::default();
         for (port, driver) in child.netlist.inputs.iter().zip(drivers.iter()) {
             // The checker does not prove widths, so an ill-width connection
             // reaches here; reject it before `Netlist::inline` would panic.

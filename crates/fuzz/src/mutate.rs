@@ -20,9 +20,9 @@ use lilac_ast::{
     Access, Cmd, CmpOp, Constraint, Ident, Interval, Module, ParamDecl, ParamExpr, PortType,
     Program, Signature, TimeExpr,
 };
+use lilac_util::hash::FxHashMap;
 use lilac_util::rng::Rng;
 use lilac_util::Symbol;
-use std::collections::HashMap;
 
 /// One editing-session step applied between re-check requests.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -72,7 +72,7 @@ pub fn apply(program: &Program, mutation: Mutation, rng: &mut Rng) -> Program {
 /// instantiations, combined instantiate-invokes, and parameter-level
 /// component accesses, wherever a parameter expression can appear.
 fn rename_components(program: &mut Program) {
-    let map: HashMap<Symbol, Symbol> = program
+    let map: FxHashMap<Symbol, Symbol> = program
         .modules
         .iter()
         .map(|m| {
@@ -151,7 +151,7 @@ fn collect_comp_refs(module: &Module, f: &mut impl FnMut(Symbol)) {
 
 /// Rewrites every component reference in `module` (and its own name)
 /// through `map`.
-fn rewrite_module(module: &mut Module, map: &HashMap<Symbol, Symbol>) {
+fn rewrite_module(module: &mut Module, map: &FxHashMap<Symbol, Symbol>) {
     if let Some(new) = map.get(&module.sig.name.name) {
         module.sig.name.name = *new;
     }

@@ -30,5 +30,8 @@
 pub mod netlist;
 pub mod verilog;
 
+/// The map type of [`Netlist::inline`]'s drivers, re-exported so that
+/// netlist crates name it without a dependency of their own on `lilac-util`.
+pub use lilac_util::hash::FxHashMap;
 pub use netlist::{mask, pipe_value, Netlist, Node, NodeId, NodeKind, PipeOp};
 pub use verilog::{emit_verilog, VERILOG_KEYWORDS};

@@ -1,8 +1,8 @@
 //! Flat netlists of hardware primitives.
 
 use lilac_util::define_index;
+use lilac_util::hash::FxHashMap;
 use lilac_util::idx::IndexVec;
-use std::collections::HashMap;
 
 define_index!(NodeId, "n");
 
@@ -740,10 +740,10 @@ impl Netlist {
     pub fn inline(
         &mut self,
         other: &Netlist,
-        input_drivers: &HashMap<String, NodeId>,
+        input_drivers: &FxHashMap<String, NodeId>,
         prefix: &str,
-    ) -> HashMap<String, NodeId> {
-        let mut remap: HashMap<NodeId, NodeId> = HashMap::new();
+    ) -> FxHashMap<String, NodeId> {
+        let mut remap: FxHashMap<NodeId, NodeId> = FxHashMap::default();
         // Two passes so sequential feedback loops (operands with a larger id
         // than their consumer) inline correctly: first create every node,
         // then wire the remapped operands.
@@ -867,7 +867,7 @@ mod tests {
         let mut outer = Netlist::new("top");
         let x = outer.add_input("x", 16);
         let y = outer.add_input("y", 16);
-        let mut drivers = HashMap::new();
+        let mut drivers = FxHashMap::default();
         drivers.insert("a".to_string(), x);
         drivers.insert("b".to_string(), y);
         let outs = outer.inline(&inner, &drivers, "u0");
@@ -884,7 +884,7 @@ mod tests {
         let inner = adder_netlist();
         let mut outer = Netlist::new("top");
         let x = outer.add_input("x", 16);
-        let mut drivers = HashMap::new();
+        let mut drivers = FxHashMap::default();
         drivers.insert("a".to_string(), x);
         outer.inline(&inner, &drivers, "u0");
     }
@@ -923,7 +923,7 @@ mod tests {
         let mut outer = Netlist::new("top");
         let x = outer.add_input("x", 8);
         let y = outer.add_input("y", 16);
-        let drivers = HashMap::from([("a".to_string(), x), ("b".to_string(), y)]);
+        let drivers = FxHashMap::from_iter([("a".to_string(), x), ("b".to_string(), y)]);
         outer.inline(&inner, &drivers, "u0");
     }
 
@@ -934,7 +934,7 @@ mod tests {
         let mut outer = Netlist::new("top");
         let x = outer.add_input("x", 16);
         let y = outer.add_input("y", 24);
-        let drivers = HashMap::from([("a".to_string(), x), ("b".to_string(), y)]);
+        let drivers = FxHashMap::from_iter([("a".to_string(), x), ("b".to_string(), y)]);
         outer.inline(&inner, &drivers, "u0");
     }
 

@@ -17,7 +17,7 @@
 //! to bit-identical outputs on every cycle.
 
 use crate::netlist::{Netlist, NodeId, NodeKind, PipeOp};
-use std::collections::HashSet;
+use lilac_util::hash::FxHashSet;
 use std::fmt::Write;
 
 fn wire(id: NodeId) -> String {
@@ -184,7 +184,7 @@ fn sanitize(name: &str) -> String {
 /// internal net namespace, and every name already in `used`. Distinct
 /// source names that collide after character replacement (`a+b` and `a-b`
 /// both sanitize to `a_b`) get deterministic `_2`, `_3`, ... suffixes.
-fn unique_name(name: &str, used: &mut HashSet<String>) -> String {
+fn unique_name(name: &str, used: &mut FxHashSet<String>) -> String {
     let base = sanitize(name);
     let illegal = |s: &str| VERILOG_KEYWORDS.contains(&s) || is_internal_net_name(s);
     let mut candidate = base.clone();
@@ -207,7 +207,7 @@ fn unique_name(name: &str, used: &mut HashSet<String>) -> String {
 pub fn emit_verilog(netlist: &Netlist) -> String {
     let mut out = String::new();
     // Port name table: inputs by index, then outputs by position.
-    let mut used: HashSet<String> = HashSet::from(["clk".to_string()]);
+    let mut used: FxHashSet<String> = FxHashSet::from_iter(["clk".to_string()]);
     let input_names: Vec<String> =
         netlist.inputs.iter().map(|p| unique_name(&p.name, &mut used)).collect();
     let output_names: Vec<String> =
@@ -361,7 +361,7 @@ fn emit_shift_chain(
 }
 
 fn module_name(name: &str) -> String {
-    let mut used = HashSet::new();
+    let mut used = FxHashSet::default();
     unique_name(name, &mut used)
 }
 

@@ -155,7 +155,7 @@ pub mod rv {
         let mut n = Netlist::new(format!("li_{}", core.name));
         let valid_i = n.add_input("valid_i", 1);
         let ready_i = n.add_input("ready_i", 1);
-        let mut drivers = std::collections::HashMap::new();
+        let mut drivers = lilac_ir::FxHashMap::default();
         for port in &core.inputs {
             let id = n.add_input(port.name.clone(), port.width);
             drivers.insert(port.name.clone(), id);
@@ -163,7 +163,7 @@ pub mod rv {
         let outs = n.inline(core, &drivers, "core");
         let out_valid = add_valid_pipe(&mut n, valid_i, latency);
         // Stable output order: follow the core's own output declaration
-        // order rather than the HashMap the inliner returns.
+        // order rather than the hash map the inliner returns.
         for (port, _) in &core.outputs {
             let node = outs[&port.name];
             let (held, _held_valid) = add_skid_buffer(&mut n, node, out_valid, ready_i, port.width);
@@ -185,7 +185,7 @@ pub mod rv {
     /// analysis proves and `lilac-opt`'s `fold_known_bits` strips.
     pub fn never_stall(wrapped: &Netlist) -> Netlist {
         let mut n = Netlist::new(format!("{}_nostall", wrapped.name));
-        let mut drivers = std::collections::HashMap::new();
+        let mut drivers = lilac_ir::FxHashMap::default();
         for port in &wrapped.inputs {
             let id = if port.name == "valid_i" || port.name == "ready_i" {
                 n.add_const(1, port.width)
@@ -385,13 +385,13 @@ pub mod gbp {
         let mut n = Netlist::new(format!("la_gbp_n{par}"));
         let window: Vec<NodeId> = (0..16).map(|i| n.add_input(format!("px{i}"), width)).collect();
         let chunks = add_serializer(&mut n, &window, width, par);
-        let mut drivers = std::collections::HashMap::new();
+        let mut drivers = lilac_ir::FxHashMap::default();
         for (i, &c) in chunks.iter().enumerate() {
             drivers.insert(format!("px_{i}"), c);
         }
         let outs = n.inline(core, &drivers, "gbp");
         // Stable output order: follow the core's own output declaration
-        // order rather than the HashMap the inliner returns.
+        // order rather than the hash map the inliner returns.
         for (i, (port, _)) in core.outputs.iter().enumerate() {
             // Collect the pyramid's chunk outputs back into a window register.
             let node = outs[&port.name];

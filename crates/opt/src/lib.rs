@@ -82,8 +82,8 @@
 //! # let _ = dead;
 //! ```
 
+use lilac_ir::FxHashMap;
 use lilac_ir::{mask, Netlist, NodeId, NodeKind};
-use std::collections::HashMap;
 
 pub mod retime;
 
@@ -563,7 +563,7 @@ pub fn eliminate_common_subexpressions(n: &mut Netlist) -> usize {
     }
     let ids = node_ids(n);
     let mut remap: Vec<NodeId> = ids.clone();
-    let mut seen: HashMap<Key, NodeId> = HashMap::new();
+    let mut seen: FxHashMap<Key, NodeId> = FxHashMap::default();
     for id in ids {
         let node = n.node(id);
         if matches!(node.kind, NodeKind::Input(_)) {

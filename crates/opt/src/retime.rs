@@ -494,9 +494,9 @@ pub fn retime_with_stats(netlist: &Netlist) -> (Netlist, RetimeStats) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lilac_ir::FxHashMap;
     use lilac_ir::PipeOp;
     use lilac_sim::Simulator;
-    use std::collections::HashMap;
 
     fn assert_cycle_exact(a: &Netlist, b: &Netlist, cycles: usize) {
         let mut rng = lilac_util::rng::Rng::new(0x5eed);
@@ -504,7 +504,7 @@ mod tests {
         let mut sim_b = Simulator::new(b).expect("retimed simulates");
         let outputs = sim_a.output_names();
         for cycle in 0..cycles {
-            let stim: HashMap<String, u64> =
+            let stim: FxHashMap<String, u64> =
                 a.inputs.iter().map(|p| (p.name.clone(), rng.next_u64())).collect();
             sim_a.set_inputs(&stim);
             sim_b.set_inputs(&stim);

@@ -40,8 +40,9 @@
 //! # Ok::<(), String>(())
 //! ```
 
+use lilac_ir::FxHashMap;
 use lilac_ir::{mask, pipe_value, Netlist, NodeId, NodeKind};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 pub mod backend;
 pub mod compiled;
@@ -127,7 +128,7 @@ impl Simulator {
     }
 
     /// Sets every input from a map (missing inputs keep their prior values).
-    pub fn set_inputs(&mut self, values: &HashMap<String, u64>) {
+    pub fn set_inputs(&mut self, values: &FxHashMap<String, u64>) {
         for (k, v) in values {
             self.set_input(k, *v);
         }
@@ -265,12 +266,15 @@ impl Simulator {
 
     /// Convenience driver: applies each input map for one cycle and collects
     /// every output after that cycle's clock edge.
-    pub fn run_trace(&mut self, stimulus: &[HashMap<String, u64>]) -> Vec<HashMap<String, u64>> {
+    pub fn run_trace(
+        &mut self,
+        stimulus: &[FxHashMap<String, u64>],
+    ) -> Vec<FxHashMap<String, u64>> {
         let mut out = Vec::with_capacity(stimulus.len());
         for cycle_inputs in stimulus {
             self.set_inputs(cycle_inputs);
             self.step();
-            let mut snapshot = HashMap::new();
+            let mut snapshot = FxHashMap::default();
             for (port, _) in self.netlist.outputs.clone() {
                 snapshot.insert(port.name.clone(), self.output(&port.name));
             }
@@ -414,8 +418,8 @@ mod tests {
         let d = n.add_node(NodeKind::Delay(3), vec![i], 16, "d");
         n.add_output("o", d);
         let mut sim = Simulator::new(&n).unwrap();
-        let stim: Vec<HashMap<String, u64>> =
-            (1..=6u64).map(|v| HashMap::from([("i".to_string(), v)])).collect();
+        let stim: Vec<FxHashMap<String, u64>> =
+            (1..=6u64).map(|v| FxHashMap::from_iter([("i".to_string(), v)])).collect();
         let trace = sim.run_trace(&stim);
         let outs: Vec<u64> = trace.iter().map(|t| t["o"]).collect();
         assert_eq!(outs, vec![0, 0, 1, 2, 3, 4]);

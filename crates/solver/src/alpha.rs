@@ -32,8 +32,8 @@ use crate::expr::{LinExpr, Term};
 use crate::model::Model;
 use crate::pred::Pred;
 use crate::solve::Outcome;
+use lilac_util::hash::{FxHashMap, FxHasher};
 use lilac_util::intern::Symbol;
-use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 
 /// True if a function symbol is interpreted (never renamed).
@@ -48,7 +48,7 @@ fn is_interpreted(sym: Symbol) -> bool {
 /// Assigns first-occurrence indices to symbols during a walk.
 #[derive(Default)]
 struct Indexer {
-    ids: HashMap<Symbol, u32>,
+    ids: FxHashMap<Symbol, u32>,
 }
 
 impl Indexer {
@@ -70,9 +70,8 @@ impl Indexer {
 /// orders therefore agree on every fact hash, which is what lets downstream
 /// content-addressed caches key on these values directly.
 pub fn fact_hash(pred: &Pred) -> u64 {
-    let mut idx = Indexer::default();
-    let mut state = std::collections::hash_map::DefaultHasher::new();
-    hash_pred(pred, &mut idx, &mut state);
+    let mut state = FxHasher::default();
+    hash_pred(pred, &mut Indexer::default(), &mut state);
     state.finish()
 }
 
@@ -81,12 +80,13 @@ pub fn fact_hash(pred: &Pred) -> u64 {
 /// fact-id order, which follows assumption order and therefore lines up
 /// between structurally parallel scopes). Like [`fact_hash`], the result is
 /// interner-independent.
-pub fn query_hash<H: Hasher>(fact_hashes: impl Iterator<Item = u64>, goal: &Pred, state: &mut H) {
-    let mut idx = Indexer::default();
-    hash_pred(goal, &mut idx, state);
+pub fn query_hash(fact_hashes: impl Iterator<Item = u64>, goal: &Pred) -> u64 {
+    let mut state = FxHasher::default();
+    hash_pred(goal, &mut Indexer::default(), &mut state);
     for h in fact_hashes {
-        h.hash(state);
+        h.hash(&mut state);
     }
+    state.finish()
 }
 
 fn hash_pred<H: Hasher>(pred: &Pred, idx: &mut Indexer, state: &mut H) {
@@ -162,8 +162,8 @@ fn hash_term<H: Hasher>(t: &Term, idx: &mut Indexer, state: &mut H) {
 /// incrementally during the matching walk.
 #[derive(Default)]
 pub(crate) struct Bijection {
-    forward: HashMap<Symbol, Symbol>,
-    backward: HashMap<Symbol, Symbol>,
+    forward: FxHashMap<Symbol, Symbol>,
+    backward: FxHashMap<Symbol, Symbol>,
 }
 
 impl Bijection {
@@ -293,12 +293,9 @@ pub(crate) fn rename_outcome(outcome: &Outcome, map: &Bijection) -> Option<Outco
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::hash_map::DefaultHasher;
 
     fn h(facts: &[Pred], goal: &Pred) -> u64 {
-        let mut state = DefaultHasher::new();
-        query_hash(facts.iter().map(fact_hash), goal, &mut state);
-        state.finish()
+        query_hash(facts.iter().map(fact_hash), goal)
     }
 
     #[test]
@@ -310,6 +307,28 @@ mod tests {
         assert_eq!(h(&f_a, &g_a), h(&f_b, &g_b));
         let map = alpha_match(f_a.iter(), &g_a, f_b.iter(), &g_b).expect("alpha-equivalent");
         assert_eq!(map.image(Symbol::intern("A")), Some(Symbol::intern("ZZ")));
+    }
+
+    #[test]
+    fn fact_hash_ignores_interning_order() {
+        // The same fact over two sets of names: the first interned before the
+        // interpreted function symbol, the second after it and in reverse
+        // order. Only the structure and the function's spelling are hashed.
+        let fact = |a: &str, b: &str| {
+            let app = Term::app("$fh_order_max", vec![LinExpr::var(a), LinExpr::var(b)]);
+            Pred::ge(LinExpr::from_term(app, 1) - LinExpr::var(a), LinExpr::constant(0))
+        };
+        let early = fact("fh_order_a1", "fh_order_b1");
+        Symbol::intern("fh_order_b2");
+        let late = fact("fh_order_a2", "fh_order_b2");
+        let [a1, f, b2, a2] =
+            ["fh_order_a1", "$fh_order_max", "fh_order_b2", "fh_order_a2"].map(Symbol::intern);
+        assert!(a1 < f && f < b2 && b2 < a2);
+        assert_eq!(fact_hash(&early), fact_hash(&late));
+        assert_ne!(
+            fact_hash(&early),
+            fact_hash(&Pred::ge(LinExpr::var("fh_order_a1"), LinExpr::constant(0)))
+        );
     }
 
     #[test]

@@ -529,9 +529,7 @@ mod tests {
     }
 
     fn hash_of<T: std::hash::Hash>(value: &T) -> u64 {
-        let mut state = std::collections::hash_map::DefaultHasher::new();
-        value.hash(&mut state);
-        std::hash::Hasher::finish(&state)
+        std::hash::BuildHasher::hash_one(&lilac_util::hash::FxBuildHasher::default(), value)
     }
 
     /// Terms strictly sorted, no zero coefficients, at every nesting level.

@@ -464,12 +464,12 @@ impl SharedCache {
         let buckets = r.u64()?;
         for _ in 0..buckets {
             // The stored bucket hash is only a grouping artifact of the
-            // writing process: [`alpha::query_hash`] is interner-independent
-            // but runs through the standard library's `DefaultHasher`, whose
-            // algorithm is not guaranteed stable across Rust releases.
-            // Recomputing the alpha-invariant hash here re-buckets every
-            // entry for *this* build's hasher, so a cache written by one run
-            // still hits in the next.
+            // writing process: [`alpha::query_hash`] is interner-independent,
+            // but neither its `FxHasher` nor the standard library's `Hash`
+            // impls it feeds are a stable format, and an image may come from
+            // another build. Recomputing the alpha-invariant hash here
+            // re-buckets every entry for *this* build, so a cache written by
+            // one run still hits in the next.
             let _stored_hash = r.u64()?;
             let entries = r.len()?;
             for _ in 0..entries {
@@ -480,11 +480,7 @@ impl SharedCache {
                 }
                 let goal = r.pred()?;
                 let outcome = r.outcome()?;
-                let hash = {
-                    let mut state = std::collections::hash_map::DefaultHasher::new();
-                    alpha::query_hash(facts.iter().map(alpha::fact_hash), &goal, &mut state);
-                    std::hash::Hasher::finish(&state)
-                };
+                let hash = alpha::query_hash(facts.iter().map(alpha::fact_hash), &goal);
                 cache.insert_raw(hash, facts, goal, outcome);
             }
         }

@@ -28,7 +28,7 @@
 
 use crate::expr::Term;
 use crate::pred::Pred;
-use std::collections::HashMap;
+use lilac_util::hash::FxHashMap;
 
 /// Every atom (top-level and nested term) a predicate mentions, sorted and
 /// deduplicated, borrowed from the predicate. Used once per unique fact at
@@ -172,7 +172,7 @@ pub(crate) fn components(fact_atoms: &[&[u32]], atom_count: usize) -> Vec<Vec<us
     // Bucket facts by their component root, preserving fact order inside
     // each bucket and ordering buckets by first appearance (deterministic).
     let mut buckets: Vec<Vec<usize>> = Vec::new();
-    let mut root_to_bucket: HashMap<u32, usize> = HashMap::new();
+    let mut root_to_bucket: FxHashMap<u32, usize> = FxHashMap::default();
     for (i, atoms) in fact_atoms.iter().enumerate() {
         match atoms.first() {
             None => buckets.push(vec![i]),

@@ -22,7 +22,8 @@ use crate::expr::{funcs, LinExpr, Term};
 use crate::model::Model;
 use crate::pred::Pred;
 use crate::slice;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use lilac_util::hash::FxHashMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Result of a [`Solver::prove`] query.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -270,8 +271,8 @@ struct FactLog {
     fact_atoms: Vec<Vec<u32>>,
     /// fact_id → renaming-invariant hash of the predicate.
     fact_hashes: Vec<u64>,
-    fact_ids: HashMap<Pred, u32>,
-    atom_ids: HashMap<Term, u32>,
+    fact_ids: FxHashMap<Pred, u32>,
+    atom_ids: FxHashMap<Term, u32>,
 }
 
 impl FactLog {
@@ -359,7 +360,7 @@ pub(crate) type CacheBucket = (u64, Vec<(Vec<Pred>, Pred, Outcome)>);
 /// library components hit instead of re-deriving.
 #[derive(Clone, Debug, Default)]
 pub struct SharedCache {
-    entries: std::sync::Arc<std::sync::Mutex<HashMap<u64, Vec<SharedEntry>>>>,
+    entries: std::sync::Arc<std::sync::Mutex<FxHashMap<u64, Vec<SharedEntry>>>>,
 }
 
 impl SharedCache {
@@ -416,9 +417,9 @@ pub struct Solver {
     facts: FactLog,
     config: SolverConfig,
     stats: SolverStats,
-    query_cache: HashMap<u64, Vec<CacheEntry>>,
-    consistency_cache: HashMap<Vec<u32>, bool>,
-    residual_cache: HashMap<Vec<u32>, ResidualStatus>,
+    query_cache: FxHashMap<u64, Vec<CacheEntry>>,
+    consistency_cache: FxHashMap<Vec<u32>, bool>,
+    residual_cache: FxHashMap<Vec<u32>, ResidualStatus>,
     /// Reusable atom-mark scratch for the per-query slicing passes.
     scratch_mask: slice::EpochMask,
 }
@@ -435,9 +436,9 @@ impl Solver {
             facts: FactLog::default(),
             config,
             stats: SolverStats::default(),
-            query_cache: HashMap::new(),
-            consistency_cache: HashMap::new(),
-            residual_cache: HashMap::new(),
+            query_cache: FxHashMap::default(),
+            consistency_cache: FxHashMap::default(),
+            residual_cache: FxHashMap::default(),
             scratch_mask: slice::EpochMask::default(),
         }
     }
@@ -645,16 +646,8 @@ impl Solver {
             self.stats.cache_misses += 1;
             return self.decide(&fact_ids, goal);
         }
-        let hash = {
-            let facts = &self.facts;
-            let mut state = std::collections::hash_map::DefaultHasher::new();
-            alpha::query_hash(
-                fact_ids.iter().map(|&id| facts.fact_hashes[id as usize]),
-                goal,
-                &mut state,
-            );
-            std::hash::Hasher::finish(&state)
-        };
+        let hash =
+            alpha::query_hash(fact_ids.iter().map(|&id| self.facts.fact_hashes[id as usize]), goal);
         let cached = {
             let facts = &self.facts;
             self.query_cache.get(&hash).and_then(|entries| {

@@ -4,7 +4,7 @@
 //! port names) are interned into copyable [`Symbol`]s so that the AST, the
 //! solver, and the IR can compare and hash names cheaply.
 
-use std::collections::HashMap;
+use crate::hash::FxHashMap;
 use std::fmt;
 use std::sync::{Mutex, OnceLock};
 
@@ -26,13 +26,13 @@ use std::sync::{Mutex, OnceLock};
 pub struct Symbol(u32);
 
 struct Interner {
-    map: HashMap<&'static str, u32>,
+    map: FxHashMap<&'static str, u32>,
     strings: Vec<&'static str>,
 }
 
 impl Interner {
     fn new() -> Self {
-        Interner { map: HashMap::new(), strings: Vec::new() }
+        Interner { map: FxHashMap::default(), strings: Vec::new() }
     }
 
     fn intern(&mut self, s: &str) -> u32 {

@@ -4,6 +4,8 @@
 //! every other crate in the workspace:
 //!
 //! * [`intern`] — a string interner producing copyable [`Symbol`]s,
+//! * [`hash`] — the one hasher of every in-memory map and set
+//!   ([`FxHashMap`], [`FxHashSet`]),
 //! * [`span`] — byte-offset source spans and position/line-column mapping,
 //! * [`diag`] — structured diagnostics (errors, warnings, notes) with
 //!   rendering against a [`SourceMap`],
@@ -26,6 +28,7 @@
 
 pub mod diag;
 pub mod fault;
+pub mod hash;
 pub mod idx;
 pub mod intern;
 pub mod par;
@@ -37,5 +40,6 @@ pub use diag::{
     Severity,
 };
 pub use fault::{FaultKind, FaultPlan};
+pub use hash::{FxHashMap, FxHashSet};
 pub use intern::Symbol;
 pub use span::{SourceFile, SourceMap, Span};

@@ -5,7 +5,7 @@
 //! nonblocking statements of the single `always @(posedge clk)` block. The
 //! evaluator ([`crate::VSimulator`]) gives it two-phase cycle semantics.
 
-use std::collections::HashMap;
+use lilac_ir::FxHashMap;
 
 /// A module port.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -127,7 +127,7 @@ pub struct Design {
     /// The clock input, when the module has one (`clk` by convention).
     pub clock: Option<String>,
     /// Every declared net (ports included), by name.
-    pub nets: HashMap<String, Net>,
+    pub nets: FxHashMap<String, Net>,
     /// Continuous assignments `(target, rhs)` in source order.
     pub assigns: Vec<(String, Expr)>,
     /// Nonblocking statements of the always block, in source order.

@@ -15,10 +15,10 @@
 //! interpreter that has none either.
 
 use crate::design::{BinOp, Design, Expr, NetKind, SeqStmt, SeqTarget};
+use lilac_ir::FxHashMap;
 // The one canonical width mask, shared with `lilac-sim` and the optimizer's
 // constant folder so the three width semantics cannot drift.
 use lilac_ir::mask;
-use std::collections::HashMap;
 
 /// A cycle-accurate interpreter for a parsed Verilog module.
 ///
@@ -29,9 +29,9 @@ use std::collections::HashMap;
 pub struct VSimulator {
     design: Design,
     /// Scalar net values (ports, wires, regs), masked to width.
-    values: HashMap<String, u64>,
+    values: FxHashMap<String, u64>,
     /// Unpacked-array contents.
-    arrays: HashMap<String, Vec<u64>>,
+    arrays: FxHashMap<String, Vec<u64>>,
     /// Indices into `design.assigns` in dependency order.
     order: Vec<usize>,
     /// True when `values` may be stale: set by `set_input`/`step`, cleared
@@ -51,8 +51,8 @@ impl VSimulator {
     pub fn new(design: &Design) -> Result<VSimulator, String> {
         design.validate()?;
         let order = assign_order(design)?;
-        let mut values = HashMap::new();
-        let mut arrays = HashMap::new();
+        let mut values = FxHashMap::default();
+        let mut arrays = FxHashMap::default();
         for net in design.nets.values() {
             match net.array {
                 Some(depth) => {
@@ -235,8 +235,8 @@ impl lilac_sim::SimBackend for VSimulator {
 /// mutate `values`/`arrays` between evaluations without cloning the design.
 struct Env<'a> {
     design: &'a Design,
-    values: &'a HashMap<String, u64>,
-    arrays: &'a HashMap<String, Vec<u64>>,
+    values: &'a FxHashMap<String, u64>,
+    arrays: &'a FxHashMap<String, Vec<u64>>,
 }
 
 impl Env<'_> {
@@ -301,7 +301,7 @@ impl Env<'_> {
 /// Returns an error on a doubly-driven net or a combinational cycle.
 fn assign_order(design: &Design) -> Result<Vec<usize>, String> {
     let n = design.assigns.len();
-    let mut driver: HashMap<&str, usize> = HashMap::new();
+    let mut driver: FxHashMap<&str, usize> = FxHashMap::default();
     for (i, (target, _)) in design.assigns.iter().enumerate() {
         if driver.insert(target.as_str(), i).is_some() {
             return Err(format!("net `{target}` driven by two continuous assignments"));
