@@ -60,6 +60,7 @@
 
 pub mod campaign;
 pub mod corpus;
+pub mod counterexamples;
 pub mod lint;
 pub mod mutate;
 pub mod oracle;
