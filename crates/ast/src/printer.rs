@@ -10,241 +10,368 @@ use std::fmt::Write;
 
 /// Renders a parameter expression in surface syntax.
 pub fn print_param_expr(e: &ParamExpr) -> String {
-    match e {
-        ParamExpr::Nat(n) => n.to_string(),
-        ParamExpr::Param(p) => format!("#{p}"),
-        ParamExpr::Bin(op, a, b) => {
-            format!("({} {} {})", print_param_expr(a), op.symbol(), print_param_expr(b))
-        }
-        ParamExpr::Un(op, a) => format!("{}({})", op.symbol(), print_param_expr(a)),
-        ParamExpr::CompAccess { comp, args, param } => {
-            let args = args.iter().map(print_param_expr).collect::<Vec<_>>().join(", ");
-            format!("{comp}[{args}]::#{param}")
-        }
-        ParamExpr::InstAccess { instance, param } => format!("{instance}::#{param}"),
-        ParamExpr::Cond(c, a, b) => {
-            format!("({} ? {} : {})", print_constraint(c), print_param_expr(a), print_param_expr(b))
-        }
-    }
+    render(e, write_param_expr)
 }
 
 /// Renders a constraint in surface syntax.
 pub fn print_constraint(c: &Constraint) -> String {
-    match c {
-        Constraint::Cmp(op, a, b) => {
-            format!("{} {} {}", print_param_expr(a), op.symbol(), print_param_expr(b))
-        }
-        Constraint::NonZero(e) => print_param_expr(e),
-        Constraint::Not(c) => format!("!({})", print_constraint(c)),
-        Constraint::And(a, b) => format!("{} && {}", print_constraint(a), print_constraint(b)),
-        Constraint::Or(a, b) => format!("{} || {}", print_constraint(a), print_constraint(b)),
-        Constraint::True => "true".to_string(),
-    }
+    render(c, write_constraint)
 }
 
 /// Renders a time expression (`G+#L`).
 pub fn print_time(t: &TimeExpr) -> String {
-    match (&t.event, &t.offset) {
-        (Some(ev), ParamExpr::Nat(0)) => ev.to_string(),
-        (Some(ev), off) => format!("{ev}+{}", print_param_expr(off)),
-        (None, off) => print_param_expr(off),
-    }
+    render(t, write_time)
 }
 
 /// Renders an availability interval (`[G, G+1]`).
 pub fn print_interval(i: &Interval) -> String {
-    format!("[{}, {}]", print_time(&i.start), print_time(&i.end))
+    render(i, write_interval)
 }
 
 /// Renders an access path (`add.out`, `w{#k}`).
 pub fn print_access(a: &Access) -> String {
-    match a {
-        Access::Var(id) => id.to_string(),
-        Access::Port { inv, port } => format!("{inv}.{port}"),
-        Access::Index { base, index } => {
-            format!("{}{{{}}}", print_access(base), print_param_expr(index))
-        }
-        Access::Range { base, start, end } => format!(
-            "{}[{}..{}]",
-            print_access(base),
-            print_param_expr(start),
-            print_param_expr(end)
-        ),
-        Access::Const { value, width } => format!("const({value}, {})", print_param_expr(width)),
-    }
-}
-
-fn print_port(p: &PortDecl) -> String {
-    let dims = if p.dims.is_empty() {
-        String::new()
-    } else {
-        format!("[{}]", p.dims.iter().map(print_param_expr).collect::<Vec<_>>().join(", "))
-    };
-    match &p.ty {
-        PortType::Interface { event } => format!("{}{dims}: interface[{event}]", p.name),
-        PortType::Data { width } => {
-            format!("{}{dims}: {} {}", p.name, print_interval(&p.liveness), print_param_expr(width))
-        }
-    }
+    render(a, write_access)
 }
 
 /// Renders a full signature on one line.
 pub fn print_signature(sig: &Signature) -> String {
-    let mut s = sig.name.to_string();
-    if !sig.params.is_empty() {
-        let ps = sig
-            .params
-            .iter()
-            .map(|p| match &p.default {
-                Some(d) => format!("#{} = {}", p.name, print_param_expr(d)),
-                None => format!("#{}", p.name),
-            })
-            .collect::<Vec<_>>()
-            .join(", ");
-        write!(s, "[{ps}]").unwrap();
-    }
-    if !sig.events.is_empty() {
-        let es = sig
-            .events
-            .iter()
-            .map(|e| format!("{}: {}", e.name, print_param_expr(&e.delay)))
-            .collect::<Vec<_>>()
-            .join(", ");
-        write!(s, "<{es}>").unwrap();
-    }
-    let ins = sig.inputs.iter().map(print_port).collect::<Vec<_>>().join(", ");
-    write!(s, "({ins})").unwrap();
-    if !sig.outputs.is_empty() {
-        let outs = sig.outputs.iter().map(print_port).collect::<Vec<_>>().join(", ");
-        write!(s, " -> ({outs})").unwrap();
-    }
-    if !sig.out_params.is_empty() {
-        let binds = sig
-            .out_params
-            .iter()
-            .map(|b| {
-                if b.constraints.is_empty() {
-                    format!("some #{};", b.name)
-                } else {
-                    let cs =
-                        b.constraints.iter().map(print_constraint).collect::<Vec<_>>().join(", ");
-                    format!("some #{} where {cs};", b.name)
-                }
-            })
-            .collect::<Vec<_>>()
-            .join(" ");
-        write!(s, " with {{ {binds} }}").unwrap();
-    }
-    if !sig.where_clauses.is_empty() {
-        let cs = sig.where_clauses.iter().map(print_constraint).collect::<Vec<_>>().join(", ");
-        write!(s, " where {cs}").unwrap();
-    }
-    s
-}
-
-fn print_cmd(cmd: &Cmd, indent: usize, out: &mut String) {
-    let pad = "    ".repeat(indent);
-    match cmd {
-        Cmd::Instantiate { name, comp, params, .. } => {
-            let ps = params.iter().map(print_param_expr).collect::<Vec<_>>().join(", ");
-            writeln!(out, "{pad}{name} := new {comp}[{ps}];").unwrap();
-        }
-        Cmd::Invoke { name, instance, schedule, args, .. } => {
-            let sched = schedule.iter().map(print_time).collect::<Vec<_>>().join(", ");
-            let args = args.iter().map(print_access).collect::<Vec<_>>().join(", ");
-            writeln!(out, "{pad}{name} := {instance}<{sched}>({args});").unwrap();
-        }
-        Cmd::InstInvoke { name, comp, params, schedule, args, .. } => {
-            let ps = params.iter().map(print_param_expr).collect::<Vec<_>>().join(", ");
-            let sched = schedule.iter().map(print_time).collect::<Vec<_>>().join(", ");
-            let args = args.iter().map(print_access).collect::<Vec<_>>().join(", ");
-            writeln!(out, "{pad}{name} := new {comp}[{ps}]<{sched}>({args});").unwrap();
-        }
-        Cmd::Connect { dst, src, .. } => {
-            writeln!(out, "{pad}{} = {};", print_access(dst), print_access(src)).unwrap();
-        }
-        Cmd::Let { name, value, .. } => {
-            writeln!(out, "{pad}let #{name} = {};", print_param_expr(value)).unwrap();
-        }
-        Cmd::OutParamBind { name, value, .. } => {
-            writeln!(out, "{pad}#{name} := {};", print_param_expr(value)).unwrap();
-        }
-        Cmd::Bundle { name, idx_vars, dims, liveness, width, .. } => {
-            let vars = idx_vars.iter().map(|v| format!("#{v}")).collect::<Vec<_>>().join(", ");
-            let dims = dims.iter().map(print_param_expr).collect::<Vec<_>>().join(", ");
-            writeln!(
-                out,
-                "{pad}bundle<{vars}> {name}[{dims}]: {} {};",
-                print_interval(liveness),
-                print_param_expr(width)
-            )
-            .unwrap();
-        }
-        Cmd::Assume { constraint, .. } => {
-            writeln!(out, "{pad}assume {};", print_constraint(constraint)).unwrap();
-        }
-        Cmd::Assert { constraint, .. } => {
-            writeln!(out, "{pad}assert {};", print_constraint(constraint)).unwrap();
-        }
-        Cmd::If { cond, then_body, else_body, .. } => {
-            writeln!(out, "{pad}if {} {{", print_constraint(cond)).unwrap();
-            for c in then_body {
-                print_cmd(c, indent + 1, out);
-            }
-            if else_body.is_empty() {
-                writeln!(out, "{pad}}}").unwrap();
-            } else {
-                writeln!(out, "{pad}}} else {{").unwrap();
-                for c in else_body {
-                    print_cmd(c, indent + 1, out);
-                }
-                writeln!(out, "{pad}}}").unwrap();
-            }
-        }
-        Cmd::For { var, start, end, body, .. } => {
-            writeln!(
-                out,
-                "{pad}for #{var} in {}..{} {{",
-                print_param_expr(start),
-                print_param_expr(end)
-            )
-            .unwrap();
-            for c in body {
-                print_cmd(c, indent + 1, out);
-            }
-            writeln!(out, "{pad}}}").unwrap();
-        }
-    }
+    render(sig, write_signature)
 }
 
 /// Renders a module.
 pub fn print_module(m: &Module) -> String {
-    let mut out = String::new();
-    match &m.kind {
-        ModuleKind::Comp { body } => {
-            writeln!(out, "comp {} {{", print_signature(&m.sig)).unwrap();
-            for cmd in body {
-                print_cmd(cmd, 1, &mut out);
-            }
-            writeln!(out, "}}").unwrap();
-        }
-        ModuleKind::Extern { path } => {
-            match path {
-                Some(p) => writeln!(out, "extern \"{p}\" comp {};", print_signature(&m.sig)),
-                None => writeln!(out, "extern comp {};", print_signature(&m.sig)),
-            }
-            .unwrap();
-        }
-        ModuleKind::Gen { tool } => {
-            writeln!(out, "gen \"{tool}\" comp {};", print_signature(&m.sig)).unwrap();
-        }
-    }
-    out
+    render(m, write_module)
 }
 
 /// Renders a whole program.
 pub fn print_program(p: &Program) -> String {
-    p.modules.iter().map(print_module).collect::<Vec<_>>().join("\n")
+    render(p, |p, out| {
+        for (i, m) in p.modules.iter().enumerate() {
+            if i > 0 {
+                out.push('\n');
+            }
+            write_module(m, out);
+        }
+    })
+}
+
+/// Runs one of the `write_*` printers below into a fresh buffer. Every
+/// printer appends to the one `String` it is handed, so rendering a whole
+/// program allocates only as that buffer grows; the result is trimmed to
+/// its length, as callers keep printed programs.
+fn render<T: ?Sized>(item: &T, write: impl FnOnce(&T, &mut String)) -> String {
+    let mut out = String::new();
+    write(item, &mut out);
+    out.shrink_to_fit();
+    out
+}
+
+/// Writes `items` separated by `sep`.
+fn write_list<T>(items: &[T], sep: &str, out: &mut String, mut write: impl FnMut(&T, &mut String)) {
+    for (i, item) in items.iter().enumerate() {
+        if i > 0 {
+            out.push_str(sep);
+        }
+        write(item, out);
+    }
+}
+
+fn write_param_expr(e: &ParamExpr, out: &mut String) {
+    match e {
+        ParamExpr::Nat(n) => write!(out, "{n}").unwrap(),
+        ParamExpr::Param(p) => write!(out, "#{p}").unwrap(),
+        ParamExpr::Bin(op, a, b) => {
+            out.push('(');
+            write_param_expr(a, out);
+            write!(out, " {} ", op.symbol()).unwrap();
+            write_param_expr(b, out);
+            out.push(')');
+        }
+        ParamExpr::Un(op, a) => {
+            write!(out, "{}(", op.symbol()).unwrap();
+            write_param_expr(a, out);
+            out.push(')');
+        }
+        ParamExpr::CompAccess { comp, args, param } => {
+            write!(out, "{comp}[").unwrap();
+            write_list(args, ", ", out, write_param_expr);
+            write!(out, "]::#{param}").unwrap();
+        }
+        ParamExpr::InstAccess { instance, param } => write!(out, "{instance}::#{param}").unwrap(),
+        ParamExpr::Cond(c, a, b) => {
+            out.push('(');
+            write_constraint(c, out);
+            out.push_str(" ? ");
+            write_param_expr(a, out);
+            out.push_str(" : ");
+            write_param_expr(b, out);
+            out.push(')');
+        }
+    }
+}
+
+fn write_constraint(c: &Constraint, out: &mut String) {
+    match c {
+        Constraint::Cmp(op, a, b) => {
+            write_param_expr(a, out);
+            write!(out, " {} ", op.symbol()).unwrap();
+            write_param_expr(b, out);
+        }
+        Constraint::NonZero(e) => write_param_expr(e, out),
+        Constraint::Not(c) => {
+            out.push_str("!(");
+            write_constraint(c, out);
+            out.push(')');
+        }
+        Constraint::And(a, b) => {
+            write_constraint(a, out);
+            out.push_str(" && ");
+            write_constraint(b, out);
+        }
+        Constraint::Or(a, b) => {
+            write_constraint(a, out);
+            out.push_str(" || ");
+            write_constraint(b, out);
+        }
+        Constraint::True => out.push_str("true"),
+    }
+}
+
+fn write_time(t: &TimeExpr, out: &mut String) {
+    match (&t.event, &t.offset) {
+        (Some(ev), ParamExpr::Nat(0)) => write!(out, "{ev}").unwrap(),
+        (Some(ev), off) => {
+            write!(out, "{ev}+").unwrap();
+            write_param_expr(off, out);
+        }
+        (None, off) => write_param_expr(off, out),
+    }
+}
+
+fn write_interval(i: &Interval, out: &mut String) {
+    out.push('[');
+    write_time(&i.start, out);
+    out.push_str(", ");
+    write_time(&i.end, out);
+    out.push(']');
+}
+
+fn write_access(a: &Access, out: &mut String) {
+    match a {
+        Access::Var(id) => write!(out, "{id}").unwrap(),
+        Access::Port { inv, port } => write!(out, "{inv}.{port}").unwrap(),
+        Access::Index { base, index } => {
+            write_access(base, out);
+            out.push('{');
+            write_param_expr(index, out);
+            out.push('}');
+        }
+        Access::Range { base, start, end } => {
+            write_access(base, out);
+            out.push('[');
+            write_param_expr(start, out);
+            out.push_str("..");
+            write_param_expr(end, out);
+            out.push(']');
+        }
+        Access::Const { value, width } => {
+            write!(out, "const({value}, ").unwrap();
+            write_param_expr(width, out);
+            out.push(')');
+        }
+    }
+}
+
+fn write_port(p: &PortDecl, out: &mut String) {
+    write!(out, "{}", p.name).unwrap();
+    if !p.dims.is_empty() {
+        out.push('[');
+        write_list(&p.dims, ", ", out, write_param_expr);
+        out.push(']');
+    }
+    match &p.ty {
+        PortType::Interface { event } => write!(out, ": interface[{event}]").unwrap(),
+        PortType::Data { width } => {
+            out.push_str(": ");
+            write_interval(&p.liveness, out);
+            out.push(' ');
+            write_param_expr(width, out);
+        }
+    }
+}
+
+fn write_signature(sig: &Signature, out: &mut String) {
+    write!(out, "{}", sig.name).unwrap();
+    if !sig.params.is_empty() {
+        out.push('[');
+        write_list(&sig.params, ", ", out, |p, out| {
+            write!(out, "#{}", p.name).unwrap();
+            if let Some(d) = &p.default {
+                out.push_str(" = ");
+                write_param_expr(d, out);
+            }
+        });
+        out.push(']');
+    }
+    if !sig.events.is_empty() {
+        out.push('<');
+        write_list(&sig.events, ", ", out, |e, out| {
+            write!(out, "{}: ", e.name).unwrap();
+            write_param_expr(&e.delay, out);
+        });
+        out.push('>');
+    }
+    out.push('(');
+    write_list(&sig.inputs, ", ", out, write_port);
+    out.push(')');
+    if !sig.outputs.is_empty() {
+        out.push_str(" -> (");
+        write_list(&sig.outputs, ", ", out, write_port);
+        out.push(')');
+    }
+    if !sig.out_params.is_empty() {
+        out.push_str(" with { ");
+        write_list(&sig.out_params, " ", out, |b, out| {
+            write!(out, "some #{}", b.name).unwrap();
+            if !b.constraints.is_empty() {
+                out.push_str(" where ");
+                write_list(&b.constraints, ", ", out, write_constraint);
+            }
+            out.push(';');
+        });
+        out.push_str(" }");
+    }
+    if !sig.where_clauses.is_empty() {
+        out.push_str(" where ");
+        write_list(&sig.where_clauses, ", ", out, write_constraint);
+    }
+}
+
+fn write_pad(indent: usize, out: &mut String) {
+    for _ in 0..indent {
+        out.push_str("    ");
+    }
+}
+
+fn write_cmd(cmd: &Cmd, indent: usize, out: &mut String) {
+    write_pad(indent, out);
+    match cmd {
+        Cmd::Instantiate { name, comp, params, .. } => {
+            write!(out, "{name} := new {comp}[").unwrap();
+            write_list(params, ", ", out, write_param_expr);
+            out.push_str("];\n");
+        }
+        Cmd::Invoke { name, instance, schedule, args, .. } => {
+            write!(out, "{name} := {instance}<").unwrap();
+            write_list(schedule, ", ", out, write_time);
+            out.push_str(">(");
+            write_list(args, ", ", out, write_access);
+            out.push_str(");\n");
+        }
+        Cmd::InstInvoke { name, comp, params, schedule, args, .. } => {
+            write!(out, "{name} := new {comp}[").unwrap();
+            write_list(params, ", ", out, write_param_expr);
+            out.push_str("]<");
+            write_list(schedule, ", ", out, write_time);
+            out.push_str(">(");
+            write_list(args, ", ", out, write_access);
+            out.push_str(");\n");
+        }
+        Cmd::Connect { dst, src, .. } => {
+            write_access(dst, out);
+            out.push_str(" = ");
+            write_access(src, out);
+            out.push_str(";\n");
+        }
+        Cmd::Let { name, value, .. } => {
+            write!(out, "let #{name} = ").unwrap();
+            write_param_expr(value, out);
+            out.push_str(";\n");
+        }
+        Cmd::OutParamBind { name, value, .. } => {
+            write!(out, "#{name} := ").unwrap();
+            write_param_expr(value, out);
+            out.push_str(";\n");
+        }
+        Cmd::Bundle { name, idx_vars, dims, liveness, width, .. } => {
+            out.push_str("bundle<");
+            write_list(idx_vars, ", ", out, |v, out| write!(out, "#{v}").unwrap());
+            write!(out, "> {name}[").unwrap();
+            write_list(dims, ", ", out, write_param_expr);
+            out.push_str("]: ");
+            write_interval(liveness, out);
+            out.push(' ');
+            write_param_expr(width, out);
+            out.push_str(";\n");
+        }
+        Cmd::Assume { constraint, .. } => {
+            out.push_str("assume ");
+            write_constraint(constraint, out);
+            out.push_str(";\n");
+        }
+        Cmd::Assert { constraint, .. } => {
+            out.push_str("assert ");
+            write_constraint(constraint, out);
+            out.push_str(";\n");
+        }
+        Cmd::If { cond, then_body, else_body, .. } => {
+            out.push_str("if ");
+            write_constraint(cond, out);
+            out.push_str(" {\n");
+            if else_body.is_empty() {
+                write_block(then_body, indent, out);
+            } else {
+                for c in then_body {
+                    write_cmd(c, indent + 1, out);
+                }
+                write_pad(indent, out);
+                out.push_str("} else {\n");
+                write_block(else_body, indent, out);
+            }
+        }
+        Cmd::For { var, start, end, body, .. } => {
+            write!(out, "for #{var} in ").unwrap();
+            write_param_expr(start, out);
+            out.push_str("..");
+            write_param_expr(end, out);
+            out.push_str(" {\n");
+            write_block(body, indent, out);
+        }
+    }
+}
+
+/// Writes the commands of a block one level deeper than `indent`, then its
+/// closing brace at `indent`.
+fn write_block(body: &[Cmd], indent: usize, out: &mut String) {
+    for c in body {
+        write_cmd(c, indent + 1, out);
+    }
+    write_pad(indent, out);
+    out.push_str("}\n");
+}
+
+fn write_module(m: &Module, out: &mut String) {
+    match &m.kind {
+        ModuleKind::Comp { body } => {
+            out.push_str("comp ");
+            write_signature(&m.sig, out);
+            out.push_str(" {\n");
+            write_block(body, 0, out);
+        }
+        ModuleKind::Extern { path } => {
+            match path {
+                Some(p) => write!(out, "extern \"{p}\" comp ").unwrap(),
+                None => out.push_str("extern comp "),
+            }
+            write_signature(&m.sig, out);
+            out.push_str(";\n");
+        }
+        ModuleKind::Gen { tool } => {
+            write!(out, "gen \"{tool}\" comp ").unwrap();
+            write_signature(&m.sig, out);
+            out.push_str(";\n");
+        }
+    }
 }
 
 #[cfg(test)]

@@ -7,7 +7,10 @@
 //! verdict can be replayed without checking again. Invalidation needs no
 //! bookkeeping: editing a callee's signature changes every (transitive)
 //! caller's hash, so stale entries are simply never addressed again and age
-//! out of the FIFO capacity bound.
+//! out of the capacity bound. Eviction is second-chance FIFO: an entry
+//! replayed since it last reached the front of the queue goes to the back
+//! instead of out, so a request does not evict a verdict it has just
+//! replayed, and the next hash-preserving edit still hits it.
 //!
 //! Only **clean** verdicts are admitted: no diagnostics (their spans and
 //! file ids are not stable across parses) and no degraded marker (a faulted
@@ -42,17 +45,22 @@ use std::time::Duration;
 const REPORT_MAGIC: &[u8; 8] = b"LILACRPC";
 /// Current store image format version.
 const REPORT_VERSION: u32 = 1;
-/// Most clean verdicts a store retains; past it the oldest is evicted first.
+/// Most clean verdicts a store retains; past it the oldest entry not
+/// replayed since it last reached the front of the queue is evicted.
 const REPORT_CAPACITY: usize = 65_536;
 
-/// What a clean verdict boils down to: the obligation and proof counts.
+/// What a clean verdict boils down to: the obligation and proof counts,
+/// plus whether it was replayed since it last reached the front of the
+/// eviction queue. The counts are `u32` so that the bit fits in the map's
+/// 32-byte bucket beside the 128-bit key.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 struct Entry {
-    obligations: u64,
-    proved: u64,
+    obligations: u32,
+    proved: u32,
+    replayed: bool,
 }
 
-/// A bounded FIFO store of clean component verdicts, keyed by content hash
+/// A bounded store of clean component verdicts, keyed by content hash
 /// (see the [module docs](self)). Synchronized internally, so concurrent
 /// callers share one store by reference; every method holds the lock only
 /// for its own lookup, insert or serialization.
@@ -61,7 +69,7 @@ pub struct PriorReports {
     entries: Mutex<Entries>,
 }
 
-/// The store's contents: the map plus its insertion order for eviction.
+/// The store's contents: the map plus its queue order for eviction.
 #[derive(Debug)]
 struct Entries {
     map: FxHashMap<u128, Entry>,
@@ -70,13 +78,22 @@ struct Entries {
 }
 
 impl Entries {
-    /// Stores an entry, evicting the oldest past the capacity bound.
+    /// Stores an entry. Past the capacity bound, the front of the queue is
+    /// evicted, unless it was replayed since it got there: then its bit is
+    /// cleared and it goes to the back.
     fn push(&mut self, key: u128, entry: Entry) {
         if self.map.insert(key, entry).is_none() {
             self.order.push_back(key);
             while self.map.len() > self.capacity {
-                if let Some(old) = self.order.pop_front() {
-                    self.map.remove(&old);
+                let Some(old) = self.order.pop_front() else { break };
+                match self.map.get_mut(&old) {
+                    Some(e) if e.replayed => {
+                        e.replayed = false;
+                        self.order.push_back(old);
+                    }
+                    _ => {
+                        self.map.remove(&old);
+                    }
                 }
             }
         }
@@ -93,8 +110,8 @@ impl Entries {
         for key in keys {
             let e = &self.map[key];
             payload.extend_from_slice(&key.to_le_bytes());
-            payload.extend_from_slice(&e.obligations.to_le_bytes());
-            payload.extend_from_slice(&e.proved.to_le_bytes());
+            payload.extend_from_slice(&u64::from(e.obligations).to_le_bytes());
+            payload.extend_from_slice(&u64::from(e.proved).to_le_bytes());
         }
         seal_image(REPORT_MAGIC, REPORT_VERSION, &payload)
     }
@@ -137,15 +154,17 @@ impl PriorReports {
     }
 
     /// Admits a verdict if it is clean: no diagnostics and no degraded
-    /// marker. Returns whether it was stored.
+    /// marker (and counts that fit a `u32`). Returns whether it was stored.
     pub fn insert(&self, hash: ComponentHash, report: &ComponentReport) -> bool {
         if !report.diagnostics.is_empty() || report.degraded.is_some() {
             return false;
         }
-        self.entries().push(
-            hash.key(),
-            Entry { obligations: report.obligations as u64, proved: report.proved as u64 },
-        );
+        let (Ok(obligations), Ok(proved)) =
+            (u32::try_from(report.obligations), u32::try_from(report.proved))
+        else {
+            return false;
+        };
+        self.entries().push(hash.key(), Entry { obligations, proved, replayed: false });
         true
     }
 
@@ -155,15 +174,18 @@ impl PriorReports {
     /// [`CheckReport::equivalent`](crate::CheckReport::equivalent) to what
     /// re-checking would produce; elapsed time and solver effort are zero.
     pub fn lookup(&self, hash: ComponentHash, name: Symbol) -> Option<ComponentReport> {
-        self.entries().map.get(&hash.key()).map(|e| ComponentReport {
-            name,
-            obligations: e.obligations as usize,
-            proved: e.proved as usize,
-            diagnostics: Vec::new(),
-            elapsed: Duration::ZERO,
-            solver_stats: SolverStats::default(),
-            degraded: None,
-            lints: Vec::new(),
+        self.entries().map.get_mut(&hash.key()).map(|e| {
+            e.replayed = true;
+            ComponentReport {
+                name,
+                obligations: e.obligations as usize,
+                proved: e.proved as usize,
+                diagnostics: Vec::new(),
+                elapsed: Duration::ZERO,
+                solver_stats: SolverStats::default(),
+                degraded: None,
+                lints: Vec::new(),
+            }
         })
     }
 
@@ -184,9 +206,14 @@ impl PriorReports {
         let entries = store.entries.get_mut().expect("a fresh store is not poisoned");
         for chunk in body.chunks_exact(32) {
             let key = u128::from_le_bytes(chunk[0..16].try_into().expect("16 bytes"));
+            let count = |bytes: &[u8]| {
+                u32::try_from(u64::from_le_bytes(bytes.try_into().expect("8 bytes")))
+                    .map_err(|_| CacheLoadError::Malformed("count exceeds u32"))
+            };
             let entry = Entry {
-                obligations: u64::from_le_bytes(chunk[16..24].try_into().expect("8 bytes")),
-                proved: u64::from_le_bytes(chunk[24..32].try_into().expect("8 bytes")),
+                obligations: count(&chunk[16..24])?,
+                proved: count(&chunk[24..32])?,
+                replayed: false,
             };
             if entry.proved > entry.obligations {
                 return Err(CacheLoadError::Malformed("proved exceeds obligations"));
@@ -292,6 +319,18 @@ mod tests {
         assert!(store.lookup(hash(1), Symbol::intern("A")).is_none(), "oldest evicted");
         assert!(store.lookup(hash(2), Symbol::intern("B")).is_some());
         assert!(store.lookup(hash(3), Symbol::intern("C")).is_some());
+    }
+
+    #[test]
+    fn replayed_entries_get_a_second_chance() {
+        let store = PriorReports::with_capacity(2);
+        store.insert(hash(1), &clean_report("A", 1, 1));
+        store.insert(hash(2), &clean_report("B", 2, 2));
+        assert!(store.lookup(hash(1), Symbol::intern("A")).is_some());
+        store.insert(hash(3), &clean_report("C", 3, 3));
+        assert_eq!(store.len(), 2);
+        assert!(store.lookup(hash(1), Symbol::intern("A")).is_some(), "replayed entry kept");
+        assert!(store.lookup(hash(2), Symbol::intern("B")).is_none(), "unreplayed entry evicted");
     }
 
     #[test]

@@ -261,6 +261,10 @@ struct FactNode {
 /// `fact_id`, and each unique fact's atom set is computed once and stored as
 /// sorted atom ids. This turns the per-query slicing and cache-key work into
 /// integer-set operations instead of deep `Pred`/`Term` traversals.
+///
+/// Atom sets are computed only when `atoms` is set (the solver slices) and
+/// hashes only when `hashes` is set (the solver caches); otherwise their
+/// tables stay empty, and nothing reads them.
 #[derive(Clone, Debug, Default)]
 struct FactLog {
     nodes: Vec<FactNode>,
@@ -273,6 +277,10 @@ struct FactLog {
     fact_hashes: Vec<u64>,
     fact_ids: FxHashMap<Pred, u32>,
     atom_ids: FxHashMap<Term, u32>,
+    /// Fill `fact_atoms` and `atom_ids`.
+    atoms: bool,
+    /// Fill `fact_hashes`.
+    hashes: bool,
 }
 
 impl FactLog {
@@ -289,14 +297,18 @@ impl FactLog {
         if let Some(&id) = self.fact_ids.get(&pred) {
             return id;
         }
-        let mut atom_list: Vec<u32> =
-            slice::atoms_of(&pred).into_iter().map(|t| self.intern_atom(t)).collect();
-        atom_list.sort_unstable();
-        atom_list.dedup();
+        if self.atoms {
+            let mut atom_list: Vec<u32> =
+                slice::atoms_of(&pred).into_iter().map(|t| self.intern_atom(t)).collect();
+            atom_list.sort_unstable();
+            atom_list.dedup();
+            self.fact_atoms.push(atom_list);
+        }
+        if self.hashes {
+            self.fact_hashes.push(alpha::fact_hash(&pred));
+        }
         let id = self.preds.len() as u32;
-        self.fact_hashes.push(alpha::fact_hash(&pred));
         self.preds.push(pred.clone());
-        self.fact_atoms.push(atom_list);
         self.fact_ids.insert(pred, id);
         id
     }
@@ -412,7 +424,7 @@ impl SharedCache {
 
 /// A constraint-solving context: a scoped fact log, resource limits, and the
 /// query memoization cache (bucketed by renaming-invariant hash).
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug)]
 pub struct Solver {
     facts: FactLog,
     config: SolverConfig,
@@ -424,6 +436,12 @@ pub struct Solver {
     scratch_mask: slice::EpochMask,
 }
 
+impl Default for Solver {
+    fn default() -> Self {
+        Solver::new()
+    }
+}
+
 impl Solver {
     /// Creates a solver with default limits and no facts.
     pub fn new() -> Solver {
@@ -433,7 +451,7 @@ impl Solver {
     /// Creates a solver with custom limits.
     pub fn with_config(config: SolverConfig) -> Solver {
         Solver {
-            facts: FactLog::default(),
+            facts: FactLog { atoms: config.slicing, hashes: config.caching, ..FactLog::default() },
             config,
             stats: SolverStats::default(),
             query_cache: FxHashMap::default(),
@@ -1309,50 +1327,26 @@ fn fourier_motzkin(rows: &[LinExpr], combines: &mut usize) -> FmResult {
 
 /// Searches for a small non-negative integer assignment satisfying every
 /// literal in `lits`.
+///
+/// The odometer walks the atoms' candidate values with the first atom as
+/// its fastest digit. The literals are compiled once into a [`Search`] over
+/// dense atom slots, so each assignment is one `Vec<i64>` update and flat
+/// row evaluations; a [`Model`] is built only for the assignment returned.
 fn find_model(lits: &[Pred], tried: &mut usize) -> Option<Model> {
-    // Atoms to assign: every top-level term. Interpreted applications are
-    // computed from their arguments, so they are excluded when all their
-    // argument terms are themselves assigned.
-    let mut atoms: BTreeSet<Term> = BTreeSet::new();
-    for lit in lits {
-        let e = match lit {
-            Pred::Eq(e) | Pred::Le(e) => e,
-            _ => continue,
-        };
-        let mut ts = Vec::new();
-        e.collect_terms(&mut ts);
-        for t in ts {
-            match &t {
-                Term::Var(_) => {
-                    atoms.insert(t);
-                }
-                Term::App { func, .. } => {
-                    let interpreted = matches!(
-                        func.as_str(),
-                        funcs::MUL | funcs::DIV | funcs::MOD | funcs::LOG2 | funcs::EXP2
-                    );
-                    if !interpreted {
-                        atoms.insert(t);
-                    }
-                }
-            }
-        }
-    }
-    // Keep only "outermost" uninterpreted applications plus all variables —
-    // nested terms inside an application's arguments are still assigned if
-    // they are variables, which is what `collect_terms` produced above.
-    let atoms: Vec<Term> = atoms.into_iter().collect();
-    if atoms.len() > MAX_ENUM_ATOMS {
-        return None;
-    }
-
-    // Candidate domain: small naturals plus constants appearing in literals.
+    // Atoms to assign: every variable and uninterpreted application, nested
+    // ones included. Interpreted applications are computed from their
+    // arguments, whose own terms are atoms. Candidate domain: small
+    // naturals plus constants appearing in literals.
+    let mut atoms: BTreeSet<&Term> = BTreeSet::new();
     let mut domain: BTreeSet<i64> = (0..=ENUM_DOMAIN_MAX).collect();
     for lit in lits {
-        let e = match lit {
-            Pred::Eq(e) | Pred::Le(e) => e,
-            _ => continue,
-        };
+        let (Pred::Eq(e) | Pred::Le(e)) = lit else { continue };
+        e.for_each_term(&mut |t| match t {
+            Term::App { func, .. } if Op::interpreted(func.as_str()).is_some() => {}
+            _ => {
+                atoms.insert(t);
+            }
+        });
         let c = e.constant_part();
         for v in [c.abs(), c.abs() + 1, (c.abs()).saturating_sub(1)] {
             if (0..=4096).contains(&v) {
@@ -1360,81 +1354,263 @@ fn find_model(lits: &[Pred], tried: &mut usize) -> Option<Model> {
             }
         }
     }
-    let domain: Vec<i64> = domain.into_iter().collect();
-
+    let atoms: Vec<&Term> = atoms.into_iter().collect();
+    if atoms.len() > MAX_ENUM_ATOMS {
+        return None;
+    }
+    let mut domain: Vec<i64> = domain.into_iter().collect();
     let total: f64 = (domain.len() as f64).powi(atoms.len() as i32);
     if total > MAX_ENUM_ASSIGNMENTS as f64 {
         // Shrink: fall back to the small-naturals domain only.
-        let small: Vec<i64> = (0..=ENUM_DOMAIN_MAX).collect();
-        return enumerate(&atoms, &small, lits, MAX_ENUM_ASSIGNMENTS, tried);
+        domain = (0..=ENUM_DOMAIN_MAX).collect();
     }
-    enumerate(&atoms, &domain, lits, MAX_ENUM_ASSIGNMENTS, tried)
+
+    let values = Search::compile(&atoms, lits).run(&domain, tried)?;
+    Some(atoms.into_iter().cloned().zip(values).collect())
 }
 
-fn enumerate(
-    atoms: &[Term],
-    domain: &[i64],
-    lits: &[Pred],
-    max_assignments: usize,
-    total_tried: &mut usize,
-) -> Option<Model> {
-    if atoms.is_empty() {
-        let m = Model::new();
-        let ok = lits.iter().all(|l| l.eval(&m).unwrap_or(false));
-        return if ok { Some(m) } else { None };
+/// An interpreted function, resolved from its name once per search.
+#[derive(Clone, Copy, Debug)]
+enum Op {
+    Mul,
+    Div,
+    Mod,
+    Log2,
+    Exp2,
+    /// An interpreted name at the wrong arity: never evaluates.
+    Undefined,
+}
+
+impl Op {
+    fn interpreted(name: &str) -> Option<(Op, usize)> {
+        match name {
+            funcs::MUL => Some((Op::Mul, 2)),
+            funcs::DIV => Some((Op::Div, 2)),
+            funcs::MOD => Some((Op::Mod, 2)),
+            funcs::LOG2 => Some((Op::Log2, 1)),
+            funcs::EXP2 => Some((Op::Exp2, 1)),
+            _ => None,
+        }
     }
-    let mut indices = vec![0usize; atoms.len()];
-    let mut tried = 0usize;
-    loop {
-        tried += 1;
-        *total_tried += 1;
-        if tried > max_assignments {
-            return None;
+}
+
+/// One term of a compiled row.
+#[derive(Clone, Copy, Debug)]
+enum Node {
+    /// The value of the atom in this slot.
+    Slot(u32),
+    /// An interpreted application whose arguments are the rows starting at
+    /// this index (one row for `log2`/`exp2`, two for the others).
+    Apply(Op, u32),
+}
+
+/// A compiled linear expression: `constant + Σ coeff·node` over
+/// `Search::terms[start..end]`.
+#[derive(Clone, Copy, Debug, Default)]
+struct Row {
+    constant: i64,
+    start: u32,
+    end: u32,
+}
+
+/// Two applications of one uninterpreted function that functional
+/// consistency compares: their slots and their first argument rows.
+#[derive(Clone, Copy, Debug)]
+struct CongruencePair {
+    slots: (u32, u32),
+    args: (u32, u32),
+    arity: u32,
+}
+
+/// A cube's literals compiled over dense atom slots: the evaluation side of
+/// [`find_model`]. Every term lives in one flat array, and every
+/// interpreted function is resolved to an [`Op`] up front.
+#[derive(Debug, Default)]
+struct Search {
+    /// Number of atom slots (the length of a value vector).
+    slots: usize,
+    rows: Vec<Row>,
+    terms: Vec<(i64, Node)>,
+    /// `(is_equality, row)`: the literal `row == 0` or `row <= 0`.
+    lits: Vec<(bool, u32)>,
+    pairs: Vec<CongruencePair>,
+}
+
+impl Search {
+    /// Compiles `lits` over `atoms` (sorted, so a term's slot is its index).
+    fn compile(atoms: &[&Term], lits: &[Pred]) -> Search {
+        let mut search = Search { slots: atoms.len(), ..Search::default() };
+        for lit in lits {
+            let (is_eq, e) = match lit {
+                Pred::Eq(e) => (true, e),
+                Pred::Le(e) => (false, e),
+                _ => unreachable!("cube literals are Le/Eq"),
+            };
+            let row = search.args(std::slice::from_ref(e), atoms);
+            search.lits.push((is_eq, row));
         }
-        let mut m = Model::new();
-        for (atom, &di) in atoms.iter().zip(indices.iter()) {
-            m.assign(atom.clone(), domain[di]);
-        }
-        let consistent = functionally_consistent(&m, atoms);
-        if consistent && lits.iter().all(|l| l.eval(&m).unwrap_or(false)) {
-            return Some(m);
-        }
-        // Advance odometer.
-        let mut k = 0;
-        loop {
-            indices[k] += 1;
-            if indices[k] < domain.len() {
-                break;
+        for (i, a) in atoms.iter().enumerate() {
+            let Term::App { func: fa, args: argsa } = a else { continue };
+            for (j, b) in atoms.iter().enumerate().skip(i + 1) {
+                let Term::App { func: fb, args: argsb } = b else { continue };
+                if fa != fb || argsa.len() != argsb.len() {
+                    continue;
+                }
+                let first_a = search.args(argsa, atoms);
+                let first_b = search.args(argsb, atoms);
+                search.pairs.push(CongruencePair {
+                    slots: (i as u32, j as u32),
+                    args: (first_a, first_b),
+                    arity: argsa.len() as u32,
+                });
             }
-            indices[k] = 0;
-            k += 1;
-            if k == atoms.len() {
+        }
+        search
+    }
+
+    /// Compiles `args` into consecutive rows and returns the first index.
+    fn args(&mut self, args: &[LinExpr], atoms: &[&Term]) -> u32 {
+        let first = self.rows.len() as u32;
+        self.rows.resize(self.rows.len() + args.len(), Row::default());
+        for (k, a) in args.iter().enumerate() {
+            self.fill(first + k as u32, a, atoms);
+        }
+        first
+    }
+
+    /// Compiles `e` into the reserved row `row`. Nested argument rows are
+    /// compiled first, so the row's own terms stay contiguous.
+    fn fill(&mut self, row: u32, e: &LinExpr, atoms: &[&Term]) {
+        let nodes: Vec<(i64, Node)> = e
+            .terms()
+            .map(|(t, coeff)| {
+                let node = match t {
+                    Term::App { func, args } => match Op::interpreted(func.as_str()) {
+                        Some((op, arity)) if args.len() == arity => {
+                            Node::Apply(op, self.args(args, atoms))
+                        }
+                        Some(_) => Node::Apply(Op::Undefined, 0),
+                        None => Node::Slot(Self::slot(atoms, t)),
+                    },
+                    Term::Var(_) => Node::Slot(Self::slot(atoms, t)),
+                };
+                (coeff, node)
+            })
+            .collect();
+        let start = self.terms.len() as u32;
+        self.terms.extend(nodes);
+        let end = self.terms.len() as u32;
+        self.rows[row as usize] = Row { constant: e.constant_part(), start, end };
+    }
+
+    fn slot(atoms: &[&Term], t: &Term) -> u32 {
+        atoms.binary_search(&t).expect("every leaf term is an atom") as u32
+    }
+
+    /// Walks the odometer over `domain` and returns the first satisfying
+    /// value vector, counting every assignment tried into `tried`.
+    fn run(&self, domain: &[i64], tried: &mut usize) -> Option<Vec<i64>> {
+        let n = self.slots;
+        let mut values = vec![domain[0]; n];
+        if n == 0 {
+            return self.satisfied(&values).then_some(values);
+        }
+        let mut indices = vec![0usize; n];
+        let mut count = 0usize;
+        loop {
+            count += 1;
+            *tried += 1;
+            if count > MAX_ENUM_ASSIGNMENTS {
                 return None;
             }
-        }
-    }
-}
-
-/// Rejects assignments where two applications of the same uninterpreted
-/// function receive equal argument values but different results.
-fn functionally_consistent(model: &Model, atoms: &[Term]) -> bool {
-    for (i, a) in atoms.iter().enumerate() {
-        let Term::App { func: fa, args: argsa } = a else { continue };
-        for b in atoms.iter().skip(i + 1) {
-            let Term::App { func: fb, args: argsb } = b else { continue };
-            if fa != fb || argsa.len() != argsb.len() {
-                continue;
+            if self.consistent(&values) && self.satisfied(&values) {
+                return Some(values);
             }
-            let eval_a: Option<Vec<i64>> = argsa.iter().map(|e| model.eval(e)).collect();
-            let eval_b: Option<Vec<i64>> = argsb.iter().map(|e| model.eval(e)).collect();
-            if let (Some(va), Some(vb)) = (eval_a, eval_b) {
-                if va == vb && model.value(a) != model.value(b) {
-                    return false;
+            let mut k = 0;
+            loop {
+                indices[k] += 1;
+                if indices[k] < domain.len() {
+                    values[k] = domain[indices[k]];
+                    break;
+                }
+                indices[k] = 0;
+                values[k] = domain[0];
+                k += 1;
+                if k == n {
+                    return None;
                 }
             }
         }
     }
-    true
+
+    /// Every literal evaluates and holds.
+    fn satisfied(&self, values: &[i64]) -> bool {
+        self.lits.iter().all(|&(is_eq, row)| match self.eval(row, values) {
+            Some(v) if is_eq => v == 0,
+            Some(v) => v <= 0,
+            None => false,
+        })
+    }
+
+    /// Rejects assignments where two applications of the same uninterpreted
+    /// function receive equal argument values but different results.
+    fn consistent(&self, values: &[i64]) -> bool {
+        self.pairs.iter().all(|p| {
+            values[p.slots.0 as usize] == values[p.slots.1 as usize]
+                || (0..p.arity).any(|k| {
+                    match (self.eval(p.args.0 + k, values), self.eval(p.args.1 + k, values)) {
+                        (Some(a), Some(b)) => a != b,
+                        _ => true,
+                    }
+                })
+        })
+    }
+
+    fn eval(&self, row: u32, values: &[i64]) -> Option<i64> {
+        let row = self.rows[row as usize];
+        let mut total = row.constant;
+        for &(coeff, node) in &self.terms[row.start as usize..row.end as usize] {
+            let v = match node {
+                Node::Slot(s) => values[s as usize],
+                Node::Apply(op, args) => self.apply(op, args, values)?,
+            };
+            total += coeff * v;
+        }
+        Some(total)
+    }
+
+    /// Evaluates an interpreted application as `Model::eval_term` does:
+    /// `None` on division by zero, `log2` of a non-positive value, or
+    /// `exp2` outside `0..=62`.
+    fn apply(&self, op: Op, args: u32, values: &[i64]) -> Option<i64> {
+        match op {
+            Op::Log2 => {
+                let v = self.eval(args, values)?;
+                (v > 0).then(|| {
+                    let v = v as u64;
+                    if v <= 1 {
+                        0
+                    } else {
+                        (64 - (v - 1).leading_zeros()) as i64
+                    }
+                })
+            }
+            Op::Exp2 => {
+                let v = self.eval(args, values)?;
+                (0..=62).contains(&v).then(|| 1i64 << v)
+            }
+            Op::Mul | Op::Div | Op::Mod => {
+                let a = self.eval(args, values)?;
+                let b = self.eval(args + 1, values)?;
+                match op {
+                    Op::Mul => Some(a * b),
+                    Op::Div => (b != 0).then(|| a / b),
+                    _ => (b != 0).then(|| a % b),
+                }
+            }
+            Op::Undefined => None,
+        }
+    }
 }
 
 #[cfg(test)]
@@ -1774,6 +1950,176 @@ mod tests {
         let avail_start = var("G") + addl.clone() + (max.clone() - addl.clone());
         let read_at = var("G") + max.clone();
         assert_eq!(s.prove(&Pred::eq(avail_start, read_at)), Outcome::Proved);
+    }
+
+    /// The reference for [`find_model`]: the same atoms, domain and
+    /// odometer, but a fresh [`Model`] per assignment evaluated through
+    /// `Pred::eval`, with functional consistency checked pair by pair.
+    fn reference_find_model(lits: &[Pred], tried: &mut usize) -> Option<Model> {
+        let mut atoms: BTreeSet<Term> = BTreeSet::new();
+        let mut domain: BTreeSet<i64> = (0..=ENUM_DOMAIN_MAX).collect();
+        for lit in lits {
+            let (Pred::Eq(e) | Pred::Le(e)) = lit else { continue };
+            let mut ts = Vec::new();
+            e.collect_terms(&mut ts);
+            for t in ts {
+                let interpreted = matches!(&t, Term::App { func, .. } if matches!(
+                    func.as_str(),
+                    funcs::MUL | funcs::DIV | funcs::MOD | funcs::LOG2 | funcs::EXP2
+                ));
+                if !interpreted {
+                    atoms.insert(t);
+                }
+            }
+            let c = e.constant_part().abs();
+            domain.extend(
+                [c, c + 1, c.saturating_sub(1)].into_iter().filter(|v| (0..=4096).contains(v)),
+            );
+        }
+        let atoms: Vec<Term> = atoms.into_iter().collect();
+        if atoms.len() > MAX_ENUM_ATOMS {
+            return None;
+        }
+        let mut domain: Vec<i64> = domain.into_iter().collect();
+        if (domain.len() as f64).powi(atoms.len() as i32) > MAX_ENUM_ASSIGNMENTS as f64 {
+            domain = (0..=ENUM_DOMAIN_MAX).collect();
+        }
+        let holds = |m: &Model| lits.iter().all(|l| l.eval(m).unwrap_or(false));
+        if atoms.is_empty() {
+            return holds(&Model::new()).then(Model::new);
+        }
+        let consistent = |m: &Model| {
+            atoms.iter().enumerate().all(|(i, a)| {
+                atoms[i + 1..].iter().all(|b| match (a, b) {
+                    (Term::App { func: fa, args: xa }, Term::App { func: fb, args: xb })
+                        if fa == fb && xa.len() == xb.len() =>
+                    {
+                        let va: Option<Vec<i64>> = xa.iter().map(|e| m.eval(e)).collect();
+                        let vb: Option<Vec<i64>> = xb.iter().map(|e| m.eval(e)).collect();
+                        !(va.is_some() && va == vb && m.value(a) != m.value(b))
+                    }
+                    _ => true,
+                })
+            })
+        };
+        let mut indices = vec![0usize; atoms.len()];
+        for count in 1.. {
+            *tried += 1;
+            if count > MAX_ENUM_ASSIGNMENTS {
+                break;
+            }
+            let m: Model = atoms.iter().cloned().zip(indices.iter().map(|&i| domain[i])).collect();
+            if consistent(&m) && holds(&m) {
+                return Some(m);
+            }
+            let Some(k) = indices.iter().position(|&i| i + 1 < domain.len()) else { break };
+            indices[..k].fill(0);
+            indices[k] += 1;
+        }
+        None
+    }
+
+    /// A random term over three variables: a variable, an application of
+    /// one of two uninterpreted functions (so functional consistency has
+    /// pairs to compare), or an interpreted application, with zero
+    /// divisors and out-of-range `exp2` arguments among them.
+    fn search_term(rng: &mut lilac_util::rng::Rng) -> Term {
+        let v = |rng: &mut lilac_util::rng::Rng| var(["A", "B", "C"][rng.index(3)]);
+        match rng.index(10) {
+            0..=2 => v(rng).as_single_term().unwrap().clone(),
+            3 => Term::app("F", vec![v(rng) + LinExpr::constant(rng.range_i64(0, 1))]),
+            4 => Term::app("G", vec![v(rng), v(rng)]),
+            5 => Term::app(funcs::MUL, vec![v(rng), v(rng)]),
+            6 => {
+                let func = [funcs::DIV, funcs::MOD][rng.index(2)];
+                let divisor = if rng.chance(1, 3) { LinExpr::constant(0) } else { v(rng) };
+                Term::app(func, vec![v(rng), divisor])
+            }
+            7 => Term::app(funcs::LOG2, vec![v(rng) + LinExpr::constant(rng.range_i64(-1, 1))]),
+            _ => Term::app(funcs::EXP2, vec![v(rng) + LinExpr::constant([0, 61][rng.index(2)])]),
+        }
+    }
+
+    /// A random `Le`/`Eq` literal. At most one `exp2` term, with a unit
+    /// coefficient, so no evaluation overflows an `i64`.
+    fn search_literal(rng: &mut lilac_util::rng::Rng) -> Pred {
+        let constant = if rng.chance(1, 6) { rng.range_i64(-40, 40) } else { rng.range_i64(-9, 9) };
+        let mut e = LinExpr::constant(constant);
+        let mut exp2_seen = false;
+        for _ in 0..1 + rng.index(3) {
+            let t = search_term(rng);
+            let exp2 = t.is_app_of(funcs::EXP2);
+            if exp2 && exp2_seen {
+                continue;
+            }
+            exp2_seen |= exp2;
+            let c = if exp2 { [-1, 1][rng.index(2)] } else { [-2, -1, 1, 2][rng.index(4)] };
+            e.add_term(t, c);
+        }
+        if rng.chance(1, 5) {
+            Pred::Eq(e)
+        } else {
+            Pred::Le(e)
+        }
+    }
+
+    #[test]
+    fn compiled_search_matches_the_model_odometer() {
+        let sum = |names: &[&str]| names.iter().fold(LinExpr::zero(), |acc, n| acc + var(n));
+        let app = |f: &str, args: &[&str]| {
+            LinExpr::from_term(Term::app(f, args.iter().map(|a| var(a)).collect()), 1)
+        };
+        let mut sets: Vec<Vec<Pred>> = vec![
+            // Constants 20 and 30 widen the domain to 16 values, and
+            // 16^5 > 400 000 assignments: the search falls back to 0..=9.
+            vec![
+                Pred::Le(LinExpr::constant(30) - sum(&["A", "B", "C", "D", "E"])),
+                Pred::Le(var("A") - LinExpr::constant(20)),
+            ],
+            // No model in 0..=9 for six atoms: the search stops at the cap.
+            vec![Pred::Le(LinExpr::constant(100) - sum(&["A", "B", "C", "D", "E", "F"]))],
+            // The first assignments that satisfy these literals give equal
+            // arguments different results; functional consistency must
+            // skip them.
+            vec![Pred::ge(app("F", &["A"]), app("F", &["B"]) + LinExpr::constant(1))],
+            vec![Pred::ge(app("G", &["A", "B"]), app("G", &["B", "A"]) + LinExpr::constant(1))],
+        ];
+        // Random sets keep to three atoms, so the reference's exhaustive
+        // walks stay short.
+        let atoms = |lits: &[Pred]| {
+            let mut ts = Vec::new();
+            for lit in lits {
+                let (Pred::Eq(e) | Pred::Le(e)) = lit else { continue };
+                e.collect_terms(&mut ts);
+            }
+            ts.retain(|t| !matches!(t, Term::App { func, .. } if func.as_str().starts_with('$')));
+            ts.sort();
+            ts.dedup();
+            ts.len()
+        };
+        let mut rng = lilac_util::rng::Rng::new(0x5eed);
+        while sets.len() < 400 {
+            let lits: Vec<Pred> = (0..1 + rng.index(3)).map(|_| search_literal(&mut rng)).collect();
+            if atoms(&lits) <= 3 {
+                sets.push(lits);
+            }
+        }
+        let (mut found, mut capped) = (0, 0);
+        for lits in &sets {
+            let (mut got_tried, mut want_tried) = (0, 0);
+            let got = find_model(lits, &mut got_tried);
+            let want = reference_find_model(lits, &mut want_tried);
+            assert_eq!(got, want, "models differ on {lits:?}");
+            assert_eq!(got_tried, want_tried, "assignment counts differ on {lits:?}");
+            found += usize::from(got.is_some());
+            capped += usize::from(got_tried > MAX_ENUM_ASSIGNMENTS);
+        }
+        assert_eq!(capped, 1, "exactly the six-atom set runs into the cap");
+        assert!(
+            found > 50 && found < sets.len() - 50,
+            "{found} of {} sets have a model",
+            sets.len()
+        );
     }
 
     #[test]
