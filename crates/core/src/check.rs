@@ -26,7 +26,7 @@ use crate::comp::CompLibrary;
 use crate::fingerprint::{component_hash, ComponentHash};
 use crate::lower::{
     event_var, instantiation_conditions, lower_constraint, lower_param_expr, lower_time,
-    out_param_expr, param_var, resolve_param_args, InstanceInfo, LowerEnv, Obligation,
+    out_param_expr, param_var, primed_var, resolve_param_args, InstanceInfo, LowerEnv, Obligation,
 };
 use crate::reports::PriorReports;
 use lilac_ast::{
@@ -41,6 +41,7 @@ use lilac_util::intern::Symbol;
 use lilac_util::par::WorkerPanic;
 use lilac_util::span::Span;
 use std::cell::Cell;
+use std::rc::Rc;
 use std::time::{Duration, Instant};
 
 /// Per-component summary produced by the checker.
@@ -466,11 +467,12 @@ struct Checker<'a> {
     /// elaboration, so per-iteration uses of them never conflict. Keyed by
     /// the instantiation command's unique identity.
     instance_loop_vars: FxHashMap<CmdId, Vec<Symbol>>,
-    /// Invocations keyed by their unique identity.
-    invocations: FxHashMap<CmdId, InvocationInfo>,
+    /// Invocations keyed by their unique identity, shared with every
+    /// access that resolves one.
+    invocations: FxHashMap<CmdId, Rc<InvocationInfo>>,
     /// Most recent unique identity for each invocation name in scope.
     invocation_uid: FxHashMap<Symbol, CmdId>,
-    bundles: FxHashMap<Symbol, BundleInfo>,
+    bundles: FxHashMap<Symbol, Rc<BundleInfo>>,
     subst: FxHashMap<Symbol, LinExpr>,
     loop_vars: Vec<Symbol>,
     writes: Vec<WriteRecord>,
@@ -571,8 +573,9 @@ impl<'a> Checker<'a> {
             }
         }
         // Where clauses on input parameters are facts inside the body.
-        for c in self.sig.where_clauses.clone() {
-            match lower_constraint(&c, &self.env()) {
+        let sig: &'a Signature = self.sig;
+        for c in &sig.where_clauses {
+            match lower_constraint(c, &self.env()) {
                 Ok(lowered) => {
                     self.assume_all(lowered.facts);
                     self.solver.assume(lowered.pred);
@@ -583,9 +586,9 @@ impl<'a> Checker<'a> {
         // Output-parameter where clauses are facts about the component's own
         // `some` parameters (the body must ultimately justify them through
         // its bindings, which elaboration re-checks concretely).
-        for op in &self.sig.out_params {
-            for c in op.constraints.clone() {
-                match lower_constraint(&c, &self.env()) {
+        for op in &sig.out_params {
+            for c in &op.constraints {
+                match lower_constraint(c, &self.env()) {
                     Ok(lowered) => {
                         self.assume_all(lowered.facts);
                         self.solver.assume(lowered.pred);
@@ -609,8 +612,8 @@ impl<'a> Checker<'a> {
             };
             // Intervals must be well formed.
             self.prove(
-                Pred::le(start.clone(), end.clone()),
-                format!("availability interval of input `{}` must be well-formed", port.name),
+                &Pred::Le(&start - &end),
+                || format!("availability interval of input `{}` must be well-formed", port.name),
                 port.span,
             );
             // The port must not be required for longer than the initiation
@@ -621,11 +624,13 @@ impl<'a> Checker<'a> {
                     if let Ok(delay) = lower_param_expr(delay_expr, &self.env()) {
                         self.assume_all(delay.facts);
                         self.prove(
-                            Pred::le(end.clone() - start.clone(), delay.expr),
-                            format!(
-                                "input `{}` is required for longer than event `{}`'s initiation interval",
-                                port.name, ev
-                            ),
+                            &Pred::le(&end - &start, delay.expr),
+                            || {
+                                format!(
+                                    "input `{}` is required for longer than event `{}`'s initiation interval",
+                                    port.name, ev
+                                )
+                            },
                             port.span,
                         );
                     }
@@ -637,8 +642,8 @@ impl<'a> Checker<'a> {
                 continue;
             };
             self.prove(
-                Pred::le(start, end),
-                format!("availability interval of output `{}` must be well-formed", port.name),
+                &Pred::le(start, end),
+                || format!("availability interval of output `{}` must be well-formed", port.name),
                 port.span,
             );
         }
@@ -727,12 +732,12 @@ impl<'a> Checker<'a> {
                 }
                 self.bundles.insert(
                     name.name,
-                    BundleInfo {
+                    Rc::new(BundleInfo {
                         idx_vars: idx_vars.iter().map(|v| v.name).collect(),
                         dims: lowered_dims,
                         liveness: liveness.clone(),
                         width: width.clone(),
-                    },
+                    }),
                 );
             }
             _ => {}
@@ -794,11 +799,13 @@ impl<'a> Checker<'a> {
         schedule: &[lilac_ast::TimeExpr],
         span: Span,
     ) {
-        let Some(info) = self.instances.get(&instance).cloned() else {
+        let Some(info) = self.instances.get(&instance) else {
             self.reporter.error(format!("unknown instance `{instance}`"), span);
             return;
         };
-        let Some(callee) = self.lib.signature(info.comp) else {
+        let (comp, instance_span) = (info.comp, info.span);
+        let args = info.args.clone();
+        let Some(callee) = self.lib.signature(comp) else {
             return;
         };
         if schedule.len() != callee.events.len() {
@@ -828,13 +835,13 @@ impl<'a> Checker<'a> {
         self.invocation_uid.insert(name, uid);
         self.invocations.insert(
             uid,
-            InvocationInfo {
-                comp: info.comp,
+            Rc::new(InvocationInfo {
+                comp,
                 uid,
-                instance_uid: (instance, info.span.start),
-                args: info.args,
+                instance_uid: (instance, instance_span.start),
+                args,
                 schedule: sched_map,
-            },
+            }),
         );
     }
 
@@ -850,11 +857,13 @@ impl<'a> Checker<'a> {
                     self.assume_all(lowered.facts);
                     self.prove_obligations(lowered.obligations);
                     self.prove(
-                        lowered.pred,
-                        format!(
-                            "assertion `{}` may not hold",
-                            lilac_ast::printer::print_constraint(constraint)
-                        ),
+                        &lowered.pred,
+                        || {
+                            format!(
+                                "assertion `{}` may not hold",
+                                lilac_ast::printer::print_constraint(constraint)
+                            )
+                        },
                         *span,
                     );
                 }
@@ -873,7 +882,7 @@ impl<'a> Checker<'a> {
                         self.assume_all(lowered.facts);
                         self.prove_obligations(lowered.obligations);
                         let mark = self.solver.mark();
-                        self.solver.assume(lowered.pred.clone());
+                        self.solver.assume_ref(&lowered.pred);
                         self.check_scope(then_body);
                         self.solver.reset_to(mark);
                         self.solver.assume(lowered.pred.negate());
@@ -886,8 +895,8 @@ impl<'a> Checker<'a> {
             Cmd::For { var, start, end, body, span: _ } => {
                 let start_l = match lower_param_expr(start, &self.env()) {
                     Ok(l) => {
-                        self.assume_all(l.facts.clone());
-                        self.prove_obligations(l.obligations.clone());
+                        self.assume_all(l.facts);
+                        self.prove_obligations(l.obligations);
                         l.expr
                     }
                     Err(e) => {
@@ -897,8 +906,8 @@ impl<'a> Checker<'a> {
                 };
                 let end_l = match lower_param_expr(end, &self.env()) {
                     Ok(l) => {
-                        self.assume_all(l.facts.clone());
-                        self.prove_obligations(l.obligations.clone());
+                        self.assume_all(l.facts);
+                        self.prove_obligations(l.obligations);
                         l.expr
                     }
                     Err(e) => {
@@ -941,27 +950,26 @@ impl<'a> Checker<'a> {
         args: &[Access],
         span: Span,
     ) {
-        let Some(inv) = self.invocation_by_name(name).cloned() else {
+        let Some(inv) = self.invocation_by_name(name) else {
             return;
         };
         let Some(callee) = self.lib.signature(inv.comp) else {
             return;
         };
-        let data_inputs: Vec<&PortDecl> =
-            callee.inputs.iter().filter(|p| matches!(p.ty, PortType::Data { .. })).collect();
-        if args.len() != data_inputs.len() {
+        let data_inputs = || callee.inputs.iter().filter(|p| matches!(p.ty, PortType::Data { .. }));
+        if args.len() != data_inputs().count() {
             self.reporter.error(
                 format!(
                     "`{}` has {} data input(s) but the invocation provides {} argument(s)",
                     callee.name,
-                    data_inputs.len(),
+                    data_inputs().count(),
                     args.len()
                 ),
                 span,
             );
             return;
         }
-        for (port, arg) in data_inputs.iter().zip(args.iter()) {
+        for (port, arg) in data_inputs().zip(args.iter()) {
             let Some(req) = self.invocation_port_interval(&inv, callee, port) else { continue };
             self.check_read(arg, req, span);
             self.writes.push(WriteRecord {
@@ -973,13 +981,11 @@ impl<'a> Checker<'a> {
             });
         }
         // Record the invocation for resource-safety checking.
-        let delay =
-            callee.primary_event().map_or(lilac_ast::ParamExpr::Nat(1), |e| e.delay.clone());
         let callee_env = self.callee_env(&inv, callee);
-        let delay_l = match lower_param_expr_with(&delay, &callee_env, self) {
-            Some(e) => e,
-            None => LinExpr::constant(1),
-        };
+        let delay_l = callee
+            .primary_event()
+            .and_then(|e| lower_param_expr_with(&e.delay, &callee_env, self))
+            .unwrap_or_else(|| LinExpr::constant(1));
         let time = callee
             .primary_event()
             .and_then(|e| inv.schedule.get(&e.name.name))
@@ -1023,12 +1029,9 @@ impl<'a> Checker<'a> {
             return; // constants are always available
         };
         let (rstart, rend) = req;
-        let pred = Pred::and([
-            Pred::le(astart.clone(), rstart.clone()),
-            Pred::le(rend.clone(), aend.clone()),
-        ]);
+        let pred = Pred::and([Pred::Le(&astart - &rstart), Pred::Le(&rend - &aend)]);
         self.prove_with(
-            pred,
+            &pred,
             move |model| {
                 let mut msg = format!(
                     "signal available in [{astart}, {aend}] but required in [{rstart}, {rend}]"
@@ -1068,11 +1071,10 @@ impl<'a> Checker<'a> {
                     return None;
                 }
                 // Invocation with a single output port?
-                if let Some(inv) = self.invocation_by_name(name.name).cloned() {
+                if let Some(inv) = self.invocation_by_name(name.name) {
                     let callee = self.lib.signature(inv.comp)?;
-                    if callee.outputs.len() == 1 {
-                        let port = callee.outputs[0].clone();
-                        return self.invocation_port_interval(&inv, callee, &port).map(Some);
+                    if let [port] = callee.outputs.as_slice() {
+                        return self.invocation_port_interval(&inv, callee, port).map(Some);
                     }
                     self.reporter.error(
                         format!(
@@ -1087,7 +1089,7 @@ impl<'a> Checker<'a> {
                 None
             }
             Access::Port { inv, port } => {
-                let Some(invocation) = self.invocation_by_name(inv.name).cloned() else {
+                let Some(invocation) = self.invocation_by_name(inv.name) else {
                     self.reporter.error(format!("unknown invocation `{inv}`"), inv.span);
                     return None;
                 };
@@ -1097,14 +1099,13 @@ impl<'a> Checker<'a> {
                         .error(format!("`{}` has no output port `{port}`", callee.name), port.span);
                     return None;
                 };
-                let decl = decl.clone();
-                self.invocation_port_interval(&invocation, callee, &decl).map(Some)
+                self.invocation_port_interval(&invocation, callee, decl).map(Some)
             }
             Access::Index { base, index } => {
                 // Indexing an invocation's bundle-typed output port
                 // (`cv.out[#j]`): every element shares the port's interval.
                 if let Access::Port { inv, port } = base.as_ref() {
-                    let Some(invocation) = self.invocation_by_name(inv.name).cloned() else {
+                    let Some(invocation) = self.invocation_by_name(inv.name) else {
                         self.reporter.error(format!("unknown invocation `{inv}`"), inv.span);
                         return None;
                     };
@@ -1116,9 +1117,8 @@ impl<'a> Checker<'a> {
                         );
                         return None;
                     };
-                    let decl = decl.clone();
                     let _ = index;
-                    return self.invocation_port_interval(&invocation, callee, &decl).map(Some);
+                    return self.invocation_port_interval(&invocation, callee, decl).map(Some);
                 }
                 let Access::Var(bundle_name) = base.as_ref() else {
                     self.reporter.error("nested indexing is not supported", span);
@@ -1127,9 +1127,9 @@ impl<'a> Checker<'a> {
                 // Indexing an input port declared as a bundle: the elements
                 // share the port's interval.
                 if !self.bundles.contains_key(&bundle_name.name) {
-                    if let Some(port) = self.sig.input(bundle_name.name) {
+                    let sig: &'a Signature = self.sig;
+                    if let Some(port) = sig.input(bundle_name.name) {
                         if !port.dims.is_empty() {
-                            let port = port.clone();
                             return self.lower_interval(&port.liveness).map(Some);
                         }
                     }
@@ -1158,8 +1158,8 @@ impl<'a> Checker<'a> {
     ) -> Option<(WriteKey, Vec<LinExpr>, Option<(LinExpr, LinExpr)>)> {
         match dst {
             Access::Var(name) => {
-                if let Some(port) = self.sig.output(name.name) {
-                    let port = port.clone();
+                let sig: &'a Signature = self.sig;
+                if let Some(port) = sig.output(name.name) {
                     let interval = self.lower_interval(&port.liveness);
                     return Some((WriteKey::OutputPort(name.name), Vec::new(), interval));
                 }
@@ -1175,7 +1175,7 @@ impl<'a> Checker<'a> {
                 None
             }
             Access::Port { inv, port } => {
-                let Some(invocation) = self.invocation_by_name(inv.name).cloned() else {
+                let Some(invocation) = self.invocation_by_name(inv.name) else {
                     self.reporter.error(format!("unknown invocation `{inv}`"), inv.span);
                     return None;
                 };
@@ -1185,8 +1185,7 @@ impl<'a> Checker<'a> {
                         .error(format!("`{}` has no input port `{port}`", callee.name), port.span);
                     return None;
                 };
-                let decl = decl.clone();
-                let interval = self.invocation_port_interval(&invocation, callee, &decl);
+                let interval = self.invocation_port_interval(&invocation, callee, decl);
                 Some((WriteKey::InvocationInput(invocation.uid, port.name), Vec::new(), interval))
             }
             Access::Index { base, index } => {
@@ -1196,7 +1195,7 @@ impl<'a> Checker<'a> {
                 };
                 let idx = match lower_param_expr(index, &self.env()) {
                     Ok(l) => {
-                        self.assume_all(l.facts.clone());
+                        self.assume_all(l.facts);
                         l.expr
                     }
                     Err(e) => {
@@ -1208,21 +1207,23 @@ impl<'a> Checker<'a> {
                 // (`o{#j} = ...`): requirement is the port's interval, and
                 // element-level conflicts are tracked by index.
                 if !self.bundles.contains_key(&bundle_name.name) {
-                    if let Some(port) = self.sig.output(bundle_name.name) {
+                    let sig: &'a Signature = self.sig;
+                    if let Some(port) = sig.output(bundle_name.name) {
                         if !port.dims.is_empty() {
-                            let port = port.clone();
                             let interval = self.lower_interval(&port.liveness);
                             if let Some(dim) = port.dims.first() {
                                 if let Ok(dim_l) = lower_param_expr(dim, &self.env()) {
-                                    self.assume_all(dim_l.facts.clone());
+                                    self.assume_all(dim_l.facts);
                                     self.prove(
-                                        Pred::and([
+                                        &Pred::and([
                                             Pred::ge(idx.clone(), LinExpr::zero()),
                                             Pred::lt(idx.clone(), dim_l.expr),
                                         ]),
-                                        format!(
-                                            "index into output port `{bundle_name}` may be out of bounds"
-                                        ),
+                                        || {
+                                            format!(
+                                                "index into output port `{bundle_name}` may be out of bounds"
+                                            )
+                                        },
                                         span,
                                     );
                                 }
@@ -1233,14 +1234,14 @@ impl<'a> Checker<'a> {
                 }
                 let interval = self.bundle_element_interval(bundle_name.name, index, span);
                 // Bounds obligation: 0 <= idx < dim.
-                if let Some(info) = self.bundles.get(&bundle_name.name).cloned() {
+                if let Some(info) = self.bundles.get(&bundle_name.name).map(Rc::clone) {
                     if let Some(dim) = info.dims.first() {
                         self.prove(
-                            Pred::and([
+                            &Pred::and([
                                 Pred::ge(idx.clone(), LinExpr::zero()),
                                 Pred::lt(idx.clone(), dim.clone()),
                             ]),
-                            format!("index into bundle `{bundle_name}` may be out of bounds"),
+                            || format!("index into bundle `{bundle_name}` may be out of bounds"),
                             span,
                         );
                     }
@@ -1265,14 +1266,14 @@ impl<'a> Checker<'a> {
         index: &lilac_ast::ParamExpr,
         span: Span,
     ) -> Option<(LinExpr, LinExpr)> {
-        let Some(info) = self.bundles.get(&bundle).cloned() else {
+        let Some(info) = self.bundles.get(&bundle).map(Rc::clone) else {
             self.reporter.error(format!("unknown bundle `{bundle}`"), span);
             return None;
         };
         let idx = match lower_param_expr(index, &self.env()) {
             Ok(l) => {
-                self.assume_all(l.facts.clone());
-                self.prove_obligations(l.obligations.clone());
+                self.assume_all(l.facts);
+                self.prove_obligations(l.obligations);
                 l.expr
             }
             Err(e) => {
@@ -1311,14 +1312,12 @@ impl<'a> Checker<'a> {
     ) -> Option<(LinExpr, LinExpr)> {
         let key = (inv.uid, port.name.name);
         if let Some(cached) = self.port_interval_cache.get(&key) {
-            let cached = cached.clone();
-            return match cached {
-                Some((start, end, facts)) => {
-                    self.assume_all(facts);
-                    Some((start, end))
+            return cached.as_ref().map(|(start, end, facts)| {
+                for f in facts {
+                    self.solver.assume_ref(f);
                 }
-                None => None,
-            };
+                (start.clone(), end.clone())
+            });
         }
         let mut subst: FxHashMap<Symbol, LinExpr> = FxHashMap::default();
         for (decl, arg) in callee.params.iter().zip(inv.args.iter()) {
@@ -1339,9 +1338,10 @@ impl<'a> Checker<'a> {
             (Ok(s), Ok(e)) => {
                 let mut facts = s.facts;
                 facts.extend(e.facts);
-                self.port_interval_cache
-                    .insert(key, Some((s.expr.clone(), e.expr.clone(), facts.clone())));
-                self.assume_all(facts);
+                for f in &facts {
+                    self.solver.assume_ref(f);
+                }
+                self.port_interval_cache.insert(key, Some((s.expr.clone(), e.expr.clone(), facts)));
                 Some((s.expr, e.expr))
             }
             (Err(err), _) | (_, Err(err)) => {
@@ -1423,9 +1423,9 @@ impl<'a> Checker<'a> {
     /// resource (per-iteration instances), and therefore cannot conflict
     /// across iterations.
     /// Resolves the most recent invocation registered under `name`.
-    fn invocation_by_name(&self, name: Symbol) -> Option<&InvocationInfo> {
+    fn invocation_by_name(&self, name: Symbol) -> Option<Rc<InvocationInfo>> {
         let uid = self.invocation_uid.get(&name)?;
-        self.invocations.get(uid)
+        self.invocations.get(uid).map(Rc::clone)
     }
 
     fn exempt_loop_vars(&self, key: &WriteKey) -> Vec<Symbol> {
@@ -1462,17 +1462,8 @@ impl<'a> Checker<'a> {
                 }
             }
         };
-        let renames: Vec<(Term, LinExpr)> = rename_vars
-            .iter()
-            .map(|lv| (Term::Var(*lv), LinExpr::var(&format!("{lv}'"))))
-            .collect();
-        let rename_expr = |e: &LinExpr| {
-            let mut out = e.clone();
-            for (from, to) in &renames {
-                out = out.substitute(from, to);
-            }
-            out
-        };
+        let renames: Vec<(Term, LinExpr)> =
+            rename_vars.iter().map(|&lv| (Term::Var(lv), primed_var(lv))).collect();
 
         // The combined context is a's recorded scope extended with b's
         // facts, renamed where the pair semantics require distinct
@@ -1480,15 +1471,11 @@ impl<'a> Checker<'a> {
         let b_facts = match &self_distinct {
             None if renames.is_empty() => PairFacts::Scope(&b.scope),
             _ => {
-                let mut extra: Vec<Pred> = self
-                    .scope_facts(&b.scope)
-                    .iter()
-                    .map(|p| rename_pred_terms(p, &renames))
-                    .collect();
+                let mut extra = self.renamed_scope_facts(&b.scope, &renames);
                 if let Some(distinct_vars) = &self_distinct {
                     // The two iterations must be distinct in at least one loop var.
-                    extra.push(Pred::or(distinct_vars.iter().map(|lv| {
-                        Pred::ne(LinExpr::var(lv.as_str()), LinExpr::var(&format!("{lv}'")))
+                    extra.push(Pred::or(distinct_vars.iter().map(|&lv| {
+                        Pred::ne(LinExpr::from_term(Term::Var(lv), 1), primed_var(lv))
                     })));
                 }
                 PairFacts::Facts(extra)
@@ -1500,7 +1487,8 @@ impl<'a> Checker<'a> {
             WriteKey::Bundle(_) => {
                 // Must prove the element indices differ.
                 let idx_a = &a.indices;
-                let idx_b: Vec<LinExpr> = b.indices.iter().map(&rename_expr).collect();
+                let idx_b: Vec<LinExpr> =
+                    b.indices.iter().map(|e| rename_expr(e, &renames)).collect();
                 let same = Pred::and(
                     idx_a.iter().zip(idx_b.iter()).map(|(x, y)| Pred::eq(x.clone(), y.clone())),
                 );
@@ -1551,12 +1539,11 @@ impl<'a> Checker<'a> {
     }
 
     fn check_resource_safety(&mut self) {
-        let own_delay =
-            self.sig.primary_event().map_or(lilac_ast::ParamExpr::Nat(1), |e| e.delay.clone());
-        let own_delay = match lower_param_expr(&own_delay, &self.env()) {
-            Ok(l) => l.expr,
-            Err(_) => LinExpr::constant(1),
-        };
+        let own_delay = self
+            .sig
+            .primary_event()
+            .and_then(|e| lower_param_expr(&e.delay, &self.env()).ok())
+            .map_or_else(|| LinExpr::constant(1), |l| l.expr);
         let invokes = std::mem::take(&mut self.invokes);
         for (uid, records) in invokes {
             let (instance, _) = uid;
@@ -1571,30 +1558,19 @@ impl<'a> Checker<'a> {
                 if extra.is_empty() {
                     continue;
                 }
-                let renames: Vec<(Term, LinExpr)> = extra
-                    .iter()
-                    .map(|lv| (Term::Var(*lv), LinExpr::var(&format!("{lv}'"))))
-                    .collect();
-                let rename_expr = |e: &LinExpr| {
-                    let mut out = e.clone();
-                    for (from, to) in &renames {
-                        out = out.substitute(from, to);
-                    }
-                    out
-                };
-                let mut extras: Vec<Pred> = self
-                    .scope_facts(&rec.scope)
-                    .iter()
-                    .map(|f| rename_pred_terms(f, &renames))
-                    .collect();
-                extras.push(Pred::or(extra.iter().map(|lv| {
-                    Pred::ne(LinExpr::var(lv.as_str()), LinExpr::var(&format!("{lv}'")))
-                })));
-                let other_time = rename_expr(&rec.time);
+                let renames: Vec<(Term, LinExpr)> =
+                    extra.iter().map(|&lv| (Term::Var(lv), primed_var(lv))).collect();
+                let mut extras = self.renamed_scope_facts(&rec.scope, &renames);
+                extras.push(Pred::or(
+                    extra
+                        .iter()
+                        .map(|&lv| Pred::ne(LinExpr::from_term(Term::Var(lv), 1), primed_var(lv))),
+                ));
+                let other_time = rename_expr(&rec.time, &renames);
                 self.obligations += 1;
                 let apart = Pred::or([
-                    Pred::le(rec.time.clone() + rec.callee_delay.clone(), other_time.clone()),
-                    Pred::le(other_time + rec.callee_delay.clone(), rec.time.clone()),
+                    Pred::Le(&(&rec.time + &rec.callee_delay) - &other_time),
+                    Pred::Le(&(&other_time + &rec.callee_delay) - &rec.time),
                 ]);
                 let outcome = self.prove_pair(&rec.scope, PairFacts::Facts(extras), &apart);
                 match outcome {
@@ -1627,8 +1603,8 @@ impl<'a> Checker<'a> {
                     let b = &records[j];
                     self.obligations += 1;
                     let apart = Pred::or([
-                        Pred::le(a.time.clone() + a.callee_delay.clone(), b.time.clone()),
-                        Pred::le(b.time.clone() + b.callee_delay.clone(), a.time.clone()),
+                        Pred::Le(&(&a.time + &a.callee_delay) - &b.time),
+                        Pred::Le(&(&b.time + &b.callee_delay) - &a.time),
                     ]);
                     let outcome = self.prove_pair(&a.scope, PairFacts::Scope(&b.scope), &apart);
                     match outcome {
@@ -1658,10 +1634,7 @@ impl<'a> Checker<'a> {
             for a in &records {
                 for b in &records {
                     self.obligations += 1;
-                    let pred = Pred::le(
-                        a.time.clone() + a.callee_delay.clone(),
-                        b.time.clone() + own_delay.clone(),
-                    );
+                    let pred = Pred::Le(&(&a.time + &a.callee_delay) - &(&b.time + &own_delay));
                     let outcome = self.prove_pair(&a.scope, PairFacts::Scope(&b.scope), &pred);
                     match outcome {
                         Outcome::Proved => self.proved += 1,
@@ -1721,11 +1694,12 @@ impl<'a> Checker<'a> {
         RecordedScope { mark, eager }
     }
 
-    /// The facts of a recorded scope, materialized for renaming.
-    fn scope_facts(&self, scope: &RecordedScope) -> Vec<Pred> {
+    /// The facts of a recorded scope, oldest first, with `renames` applied.
+    fn renamed_scope_facts(&self, scope: &RecordedScope, renames: &[(Term, LinExpr)]) -> Vec<Pred> {
+        let rename = |p: &Pred| rename_pred_terms(p, renames);
         match &scope.eager {
-            Some(facts) => facts.clone(),
-            None => self.solver.facts_at(scope.mark),
+            Some(facts) => facts.iter().map(rename).collect(),
+            None => self.solver.fact_refs_at(scope.mark).into_iter().map(rename).collect(),
         }
     }
 
@@ -1758,36 +1732,50 @@ impl<'a> Checker<'a> {
     /// the baseline pair path used before indexed scopes.
     fn baseline_solver(&self, a: &RecordedScope, b: PairFacts<'_>) -> Solver {
         let mut solver = Solver::with_config(self.solver_config.clone());
-        let b_facts = match b {
-            PairFacts::Scope(b) => self.scope_facts(b),
-            PairFacts::Facts(extra) => extra,
-        };
-        for f in self.scope_facts(a).into_iter().chain(b_facts) {
-            solver.assume(f);
+        // Without indexed scopes every record clones its facts eagerly.
+        fn eager(scope: &RecordedScope) -> &[Pred] {
+            scope.eager.as_deref().unwrap_or_default()
+        }
+        for f in eager(a) {
+            solver.assume_ref(f);
+        }
+        match b {
+            PairFacts::Scope(b) => eager(b).iter().for_each(|f| solver.assume_ref(f)),
+            PairFacts::Facts(extra) => extra.into_iter().for_each(|f| solver.assume(f)),
         }
         solver
     }
 
     fn prove_obligations(&mut self, obls: Vec<Obligation>) {
+        let lib = self.lib;
         for o in obls {
-            self.prove(o.pred, o.message, o.span);
+            self.prove(&o.pred, || o.message(lib), o.span);
         }
     }
 
-    fn prove(&mut self, pred: Pred, message: String, span: Span) {
+    /// Proves `pred`, reporting `message` (formatted only on failure) with
+    /// the counterexample, if any, appended.
+    fn prove(&mut self, pred: &Pred, message: impl FnOnce() -> String, span: Span) {
         self.prove_with(
             pred,
             move |model| match model {
-                Some(m) => format!("{message}; counterexample: {m}"),
-                None => message.clone(),
+                Some(m) => format!("{}; counterexample: {m}", message()),
+                None => message(),
             },
             span,
         );
     }
 
-    fn prove_with(&mut self, pred: Pred, message: impl Fn(Option<&Model>) -> String, span: Span) {
+    /// Proves `pred`; on failure reports the message `message` renders for
+    /// the counterexample (`None` when the solver found none).
+    fn prove_with(
+        &mut self,
+        pred: &Pred,
+        message: impl FnOnce(Option<&Model>) -> String,
+        span: Span,
+    ) {
         self.obligations += 1;
-        match self.solver.prove(&pred) {
+        match self.solver.prove(pred) {
             Outcome::Proved => self.proved += 1,
             Outcome::Disproved(model) => {
                 self.reporter.error(message(Some(&model)), span);
@@ -1816,21 +1804,24 @@ fn describe_write_key(key: &WriteKey) -> String {
     }
 }
 
-/// Applies a term-to-expression substitution to every expression in a
-/// predicate.
-fn rename_pred_terms(p: &Pred, renames: &[(Term, LinExpr)]) -> Pred {
-    let subst = |e: &LinExpr| {
-        let mut out = e.clone();
-        for (from, to) in renames {
-            out = out.substitute(from, to);
+/// Applies the term-to-expression substitutions `renames`, in order, to an
+/// expression.
+fn rename_expr(e: &LinExpr, renames: &[(Term, LinExpr)]) -> LinExpr {
+    match renames.split_first() {
+        None => e.clone(),
+        Some(((from, to), rest)) => {
+            rest.iter().fold(e.substitute(from, to), |out, (from, to)| out.substitute(from, to))
         }
-        out
-    };
+    }
+}
+
+/// Applies [`rename_expr`] to every expression in a predicate.
+fn rename_pred_terms(p: &Pred, renames: &[(Term, LinExpr)]) -> Pred {
     match p {
         Pred::True => Pred::True,
         Pred::False => Pred::False,
-        Pred::Le(e) => Pred::Le(subst(e)),
-        Pred::Eq(e) => Pred::Eq(subst(e)),
+        Pred::Le(e) => Pred::Le(rename_expr(e, renames)),
+        Pred::Eq(e) => Pred::Eq(rename_expr(e, renames)),
         Pred::Not(inner) => Pred::Not(Box::new(rename_pred_terms(inner, renames))),
         Pred::And(ps) => Pred::And(ps.iter().map(|q| rename_pred_terms(q, renames)).collect()),
         Pred::Or(ps) => Pred::Or(ps.iter().map(|q| rename_pred_terms(q, renames)).collect()),

@@ -23,15 +23,35 @@ use lilac_util::intern::Symbol;
 use lilac_util::span::Span;
 use std::cell::Cell;
 
-/// A proof obligation produced during lowering or checking.
+/// A proof obligation produced during lowering: one input `where` clause of
+/// an instantiated component. It names the clause rather than holding its
+/// description, which [`Obligation::message`] renders only for a diagnostic.
 #[derive(Clone, Debug)]
 pub struct Obligation {
     /// The predicate to prove.
     pub pred: Pred,
-    /// Human-readable description used in diagnostics.
-    pub message: String,
+    /// The instantiated component.
+    pub comp: Symbol,
+    /// Index of the clause in the component's `where_clauses`.
+    pub clause: usize,
     /// Source location to attach the diagnostic to.
     pub span: Span,
+}
+
+impl Obligation {
+    /// Human-readable description used in diagnostics, rendered from the
+    /// clause in `lib` (the library the obligation was lowered against).
+    pub fn message(&self, lib: &CompLibrary<'_>) -> String {
+        let clause = lib.signature(self.comp).and_then(|sig| sig.where_clauses.get(self.clause));
+        match clause {
+            Some(c) => format!(
+                "parameterization of `{}` must satisfy `{}`",
+                self.comp,
+                lilac_ast::printer::print_constraint(c)
+            ),
+            None => format!("parameterization of `{}` must satisfy its `where` clauses", self.comp),
+        }
+    }
 }
 
 /// Result of lowering a parameter expression.
@@ -126,6 +146,13 @@ pub fn event_var(ev: Symbol) -> LinExpr {
 /// The solver variable used for a parameter of the current component.
 pub fn param_var(name: Symbol) -> LinExpr {
     let sym = memoized_symbol(1, name, name, || format!("#{name}"));
+    LinExpr::from_term(Term::Var(sym), 1)
+}
+
+/// The solver variable for the loop variable `lv` on a second, distinct
+/// iteration (`{lv}'`), used when two iterations are compared.
+pub fn primed_var(lv: Symbol) -> LinExpr {
+    let sym = memoized_symbol(3, lv, lv, || format!("{lv}'"));
     LinExpr::from_term(Term::Var(sym), 1)
 }
 
@@ -358,17 +385,9 @@ pub fn instantiation_conditions(
         }
     }
     // Input where clauses become obligations.
-    for c in &sig.where_clauses {
+    for (clause, c) in sig.where_clauses.iter().enumerate() {
         let lowered = lower_closed_constraint(c, &callee_env)?;
-        obligations.push(Obligation {
-            pred: lowered,
-            message: format!(
-                "parameterization of `{}` must satisfy `{}`",
-                sig.name,
-                lilac_ast::printer::print_constraint(c)
-            ),
-            span,
-        });
+        obligations.push(Obligation { pred: lowered, comp: sig.name.name, clause, span });
     }
     Ok((facts, obligations))
 }

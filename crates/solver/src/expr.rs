@@ -338,10 +338,58 @@ impl Sub for LinExpr {
     }
 }
 
+/// `a + sign·b` without consuming either side: one merge that copies each
+/// term once, instead of cloning both operands first.
+fn combine(a: &LinExpr, b: &LinExpr, sign: i64) -> LinExpr {
+    let mut terms = Vec::with_capacity(a.terms.len() + b.terms.len());
+    let (mut left, mut right) = (a.terms.iter().peekable(), b.terms.iter().peekable());
+    loop {
+        let order = match (left.peek(), right.peek()) {
+            (Some((x, _)), Some((y, _))) => x.cmp(y),
+            (Some(_), None) => Ordering::Less,
+            (None, Some(_)) => Ordering::Greater,
+            (None, None) => break,
+        };
+        match order {
+            Ordering::Less => terms.push(left.next().expect("peeked").clone()),
+            Ordering::Greater => {
+                let (t, y) = right.next().expect("peeked");
+                terms.push((t.clone(), sign * y));
+            }
+            Ordering::Equal => {
+                let (t, x) = left.next().expect("peeked");
+                let (_, y) = right.next().expect("peeked");
+                if x + sign * y != 0 {
+                    terms.push((t.clone(), x + sign * y));
+                }
+            }
+        }
+    }
+    LinExpr { constant: a.constant + sign * b.constant, terms }
+}
+
+impl Add for &LinExpr {
+    type Output = LinExpr;
+    fn add(self, rhs: &LinExpr) -> LinExpr {
+        combine(self, rhs, 1)
+    }
+}
+
+impl Sub for &LinExpr {
+    type Output = LinExpr;
+    fn sub(self, rhs: &LinExpr) -> LinExpr {
+        combine(self, rhs, -1)
+    }
+}
+
 impl Neg for LinExpr {
     type Output = LinExpr;
-    fn neg(self) -> LinExpr {
-        self.scaled(-1)
+    fn neg(mut self) -> LinExpr {
+        self.constant = -self.constant;
+        for (_, c) in &mut self.terms {
+            *c = -*c;
+        }
+        self
     }
 }
 
@@ -412,6 +460,20 @@ mod tests {
         let z = a.clone() - a.clone();
         assert_eq!(z, LinExpr::zero());
         assert_eq!(z.as_constant(), Some(0));
+    }
+
+    #[test]
+    fn borrowed_sums_match_owned_ones() {
+        let mut rng = lilac_util::rng::Rng::new(0xadd);
+        for _ in 0..500 {
+            let (a, b) = (random_expr(&mut rng, 2), random_expr(&mut rng, 2));
+            for (sum, want) in [(&a + &b, a.clone() + b.clone()), (&a - &b, a.clone() - b.clone())]
+            {
+                assert_canonical(&sum);
+                assert_eq!(sum, want);
+            }
+            assert_eq!(-a.clone(), a.scaled(-1));
+        }
     }
 
     #[test]

@@ -53,12 +53,13 @@ impl Model {
     /// Applications of the interpreted functions (`$mul`, `$div`, `$mod`,
     /// `$log2`, `$exp2`) are computed from their evaluated arguments;
     /// uninterpreted applications and variables must be assigned directly.
-    /// Returns `None` if any needed term is unassigned (or a division by
-    /// zero occurs).
+    /// Returns `None` if any needed term is unassigned, a division by zero
+    /// occurs, or a result overflows an `i64` (such a value is undefined,
+    /// not wrapped).
     pub fn eval(&self, expr: &LinExpr) -> Option<i64> {
         let mut total = expr.constant_part();
         for (term, coeff) in expr.terms() {
-            total += coeff * self.eval_term(term)?;
+            total = total.checked_add(coeff.checked_mul(self.eval_term(term)?)?)?;
         }
         Some(total)
     }
@@ -72,9 +73,9 @@ impl Model {
             let vals: Option<Vec<i64>> = args.iter().map(|a| self.eval(a)).collect();
             let vals = vals?;
             return match func.as_str() {
-                funcs::MUL if vals.len() == 2 => Some(vals[0] * vals[1]),
-                funcs::DIV if vals.len() == 2 && vals[1] != 0 => Some(vals[0] / vals[1]),
-                funcs::MOD if vals.len() == 2 && vals[1] != 0 => Some(vals[0] % vals[1]),
+                funcs::MUL if vals.len() == 2 => vals[0].checked_mul(vals[1]),
+                funcs::DIV if vals.len() == 2 => vals[0].checked_div(vals[1]),
+                funcs::MOD if vals.len() == 2 => vals[0].checked_rem(vals[1]),
                 funcs::LOG2 if vals.len() == 1 && vals[0] > 0 => {
                     let v = vals[0] as u64;
                     Some(if v <= 1 { 0 } else { (64 - (v - 1).leading_zeros()) as i64 })

@@ -6,7 +6,7 @@
 //! also provides negation-normal-form and disjunctive-normal-form
 //! conversions.
 
-use crate::expr::LinExpr;
+use crate::expr::{LinExpr, Term};
 use crate::model::Model;
 use std::fmt;
 
@@ -122,25 +122,28 @@ impl Pred {
     /// `¬(e <= 0)` becomes `-e + 1 <= 0` (i.e. `e >= 1`) and `¬(e == 0)`
     /// becomes `e <= -1 ∨ e >= 1`.
     pub fn to_nnf(&self) -> Pred {
-        fn go(p: &Pred, negate: bool) -> Pred {
-            match (p, negate) {
-                (Pred::True, false) | (Pred::False, true) => Pred::True,
-                (Pred::True, true) | (Pred::False, false) => Pred::False,
-                (Pred::Le(e), false) => Pred::Le(e.clone()),
-                (Pred::Le(e), true) => Pred::Le(e.clone().neg_plus_one()),
-                (Pred::Eq(e), false) => Pred::Eq(e.clone()),
-                (Pred::Eq(e), true) => Pred::Or(vec![
-                    Pred::Le(e.clone() + LinExpr::constant(1)),
-                    Pred::Le(e.clone().scaled(-1) + LinExpr::constant(1)),
-                ]),
-                (Pred::Not(inner), n) => go(inner, !n),
-                (Pred::And(ps), false) => Pred::and(ps.iter().map(|p| go(p, false))),
-                (Pred::And(ps), true) => Pred::or(ps.iter().map(|p| go(p, true))),
-                (Pred::Or(ps), false) => Pred::or(ps.iter().map(|p| go(p, false))),
-                (Pred::Or(ps), true) => Pred::and(ps.iter().map(|p| go(p, true))),
-            }
+        self.nnf(false)
+    }
+
+    /// The negation normal form of `self`, or of `¬self` when `negate` is
+    /// set (without building the negation first).
+    fn nnf(&self, negate: bool) -> Pred {
+        match (self, negate) {
+            (Pred::True, false) | (Pred::False, true) => Pred::True,
+            (Pred::True, true) | (Pred::False, false) => Pred::False,
+            (Pred::Le(e), false) => Pred::Le(e.clone()),
+            (Pred::Le(e), true) => Pred::Le(e.clone().neg_plus_one()),
+            (Pred::Eq(e), false) => Pred::Eq(e.clone()),
+            (Pred::Eq(e), true) => Pred::Or(vec![
+                Pred::Le(e.clone() + LinExpr::constant(1)),
+                Pred::Le(e.clone().scaled(-1) + LinExpr::constant(1)),
+            ]),
+            (Pred::Not(inner), n) => inner.nnf(!n),
+            (Pred::And(ps), false) => Pred::and(ps.iter().map(|p| p.nnf(false))),
+            (Pred::And(ps), true) => Pred::or(ps.iter().map(|p| p.nnf(true))),
+            (Pred::Or(ps), false) => Pred::or(ps.iter().map(|p| p.nnf(false))),
+            (Pred::Or(ps), true) => Pred::and(ps.iter().map(|p| p.nnf(true))),
         }
-        go(self, false)
     }
 
     /// Converts to disjunctive normal form: a list of cubes, each a list of
@@ -150,66 +153,39 @@ impl Pred {
     /// would exceed the cap (callers then report an inconclusive result
     /// rather than looping forever).
     pub fn to_dnf(&self, max_cubes: usize) -> Option<Vec<Vec<Pred>>> {
-        fn go(p: &Pred, max: usize) -> Option<Vec<Vec<Pred>>> {
-            match p {
-                Pred::True => Some(vec![vec![]]),
-                Pred::False => Some(vec![]),
-                Pred::Le(_) | Pred::Eq(_) => Some(vec![vec![p.clone()]]),
-                Pred::Not(_) => unreachable!("to_dnf requires NNF input"),
-                Pred::Or(ps) => {
-                    let mut out = Vec::new();
-                    for sub in ps {
-                        out.extend(go(sub, max)?);
-                        if out.len() > max {
-                            return None;
-                        }
-                    }
-                    Some(out)
-                }
-                Pred::And(ps) => {
-                    // Literal conjuncts are common to every cube; collecting
-                    // them once and prepending at the end avoids re-cloning
-                    // them through every cross-product step (the conjunction
-                    // of N literals would otherwise cost O(N²) clones).
-                    let mut base: Vec<Pred> = Vec::new();
-                    let mut cubes: Vec<Vec<Pred>> = vec![vec![]];
-                    for sub in ps {
-                        match sub {
-                            Pred::True => {}
-                            Pred::False => return Some(vec![]),
-                            Pred::Le(_) | Pred::Eq(_) => base.push(sub.clone()),
-                            _ => {
-                                let sub_cubes = go(sub, max)?;
-                                let mut next =
-                                    Vec::with_capacity(cubes.len() * sub_cubes.len().max(1));
-                                for cube in &cubes {
-                                    for sc in &sub_cubes {
-                                        let mut merged = cube.clone();
-                                        merged.extend(sc.iter().cloned());
-                                        next.push(merged);
-                                        if next.len() > max {
-                                            return None;
-                                        }
-                                    }
-                                }
-                                cubes = next;
-                            }
-                        }
-                    }
-                    Some(
-                        cubes
-                            .into_iter()
-                            .map(|cube| {
-                                let mut merged = base.clone();
-                                merged.extend(cube);
-                                merged
-                            })
-                            .collect(),
-                    )
+        dnf(self.nnf(false), max_cubes)
+    }
+
+    /// The disjunctive normal form of `¬self`: the same cubes as
+    /// `self.clone().negate().to_dnf(max_cubes)`, without the clone.
+    pub(crate) fn negated_dnf(&self, max_cubes: usize) -> Option<Vec<Vec<Pred>>> {
+        dnf(self.nnf(true), max_cubes)
+    }
+
+    /// Calls `f` on every atom (top-level and nested term) the predicate
+    /// mentions, in walk order and with repeats, borrowed from the
+    /// predicate.
+    pub fn for_each_atom<'a>(&'a self, f: &mut impl FnMut(&'a Term)) {
+        match self {
+            Pred::True | Pred::False => {}
+            Pred::Le(e) | Pred::Eq(e) => e.for_each_term(f),
+            Pred::Not(inner) => inner.for_each_atom(f),
+            Pred::And(ps) | Pred::Or(ps) => {
+                for p in ps {
+                    p.for_each_atom(f);
                 }
             }
         }
-        go(&self.to_nnf(), max_cubes)
+    }
+
+    /// True for a literal that no assignment satisfies on its own: an
+    /// atom-free `c <= 0` with `c > 0` or `c == 0` with `c != 0`.
+    pub(crate) fn is_false_literal(&self) -> bool {
+        match self {
+            Pred::Le(e) => e.as_constant().is_some_and(|c| c > 0),
+            Pred::Eq(e) => e.as_constant().is_some_and(|c| c != 0),
+            _ => false,
+        }
     }
 
     /// Evaluates the predicate under a model. Returns `None` if some term is
@@ -237,6 +213,68 @@ impl Pred {
                 }
                 Some(false)
             }
+        }
+    }
+}
+
+/// The DNF of a formula in negation normal form, consuming it so literals
+/// move into their cubes instead of being copied (see [`Pred::to_dnf`]).
+fn dnf(p: Pred, max: usize) -> Option<Vec<Vec<Pred>>> {
+    match p {
+        Pred::True => Some(vec![vec![]]),
+        Pred::False => Some(vec![]),
+        Pred::Le(_) | Pred::Eq(_) => Some(vec![vec![p]]),
+        Pred::Not(_) => unreachable!("dnf requires NNF input"),
+        Pred::Or(ps) => {
+            let mut out = Vec::new();
+            for sub in ps {
+                out.extend(dnf(sub, max)?);
+                if out.len() > max {
+                    return None;
+                }
+            }
+            Some(out)
+        }
+        Pred::And(ps) => {
+            // Literal conjuncts are common to every cube; collecting them
+            // once and prepending at the end avoids re-cloning them through
+            // every cross-product step (the conjunction of N literals would
+            // otherwise cost O(N²) clones).
+            let mut base: Vec<Pred> = Vec::new();
+            let mut cubes: Vec<Vec<Pred>> = vec![vec![]];
+            for sub in ps {
+                match sub {
+                    Pred::True => {}
+                    Pred::False => return Some(vec![]),
+                    Pred::Le(_) | Pred::Eq(_) => base.push(sub),
+                    _ => {
+                        let sub_cubes = dnf(sub, max)?;
+                        let mut next = Vec::with_capacity(cubes.len() * sub_cubes.len().max(1));
+                        for cube in &cubes {
+                            for sc in &sub_cubes {
+                                let mut merged = cube.clone();
+                                merged.extend(sc.iter().cloned());
+                                next.push(merged);
+                                if next.len() > max {
+                                    return None;
+                                }
+                            }
+                        }
+                        cubes = next;
+                    }
+                }
+            }
+            Some(
+                cubes
+                    .into_iter()
+                    .map(|cube| {
+                        let mut merged = Vec::with_capacity(base.len() + cube.len());
+                        merged.extend(base.iter().cloned());
+                        merged.extend(cube);
+                        merged
+                    })
+                    .collect(),
+            )
         }
     }
 }
@@ -279,7 +317,6 @@ impl fmt::Display for Pred {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::expr::Term;
 
     #[test]
     fn constructors_normalize() {

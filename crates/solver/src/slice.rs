@@ -26,46 +26,20 @@
 //! application arguments) into dense `u32` ids, so the closure here runs on
 //! integer sets — no term traversal or cloning on the per-query path.
 
-use crate::expr::Term;
-use crate::pred::Pred;
 use lilac_util::hash::FxHashMap;
-
-/// Every atom (top-level and nested term) a predicate mentions, sorted and
-/// deduplicated, borrowed from the predicate. Used once per unique fact at
-/// interning time, and once per query for the goal.
-pub(crate) fn atoms_of(pred: &Pred) -> Vec<&Term> {
-    let mut atoms = Vec::new();
-    collect(pred, &mut atoms);
-    atoms.sort_unstable();
-    atoms.dedup();
-    atoms
-}
-
-fn collect<'p>(pred: &'p Pred, out: &mut Vec<&'p Term>) {
-    match pred {
-        Pred::True | Pred::False => {}
-        Pred::Le(e) | Pred::Eq(e) => e.for_each_term(&mut |t| out.push(t)),
-        Pred::Not(inner) => collect(inner, out),
-        Pred::And(ps) | Pred::Or(ps) => {
-            for p in ps {
-                collect(p, out);
-            }
-        }
-    }
-}
 
 /// A reusable atom-id mark set: marking is an epoch stamp, clearing is an
 /// epoch bump, so per-query use costs no allocation and no memset once the
 /// backing vector has grown to the solver's atom universe.
 #[derive(Clone, Debug, Default)]
-pub(crate) struct EpochMask {
+struct EpochMask {
     stamps: Vec<u32>,
     epoch: u32,
 }
 
 impl EpochMask {
     /// Starts a fresh mark set covering ids `0..size`.
-    pub(crate) fn begin(&mut self, size: usize) {
+    fn begin(&mut self, size: usize) {
         if self.stamps.len() < size {
             self.stamps.resize(size, 0);
         }
@@ -76,67 +50,93 @@ impl EpochMask {
         self.epoch += 1;
     }
 
-    pub(crate) fn set(&mut self, id: u32) {
+    fn set(&mut self, id: u32) {
         self.stamps[id as usize] = self.epoch;
     }
 
-    pub(crate) fn get(&self, id: u32) -> bool {
+    fn get(&self, id: u32) -> bool {
         self.stamps[id as usize] == self.epoch
     }
 }
 
-/// Partitions fact indices into (relevant, residual) with respect to the
-/// goal's atom ids. `fact_atoms[i]` is fact `i`'s sorted atom-id set;
-/// `atom_count` bounds the id space; `reachable` is the caller's scratch
-/// mask (its previous contents are discarded).
-pub(crate) fn partition(
-    fact_atoms: &[&[u32]],
-    goal_atoms: &[u32],
-    atom_count: usize,
-    reachable: &mut EpochMask,
-) -> (Vec<usize>, Vec<usize>) {
-    reachable.begin(atom_count);
-    for &a in goal_atoms {
-        reachable.set(a);
+/// The per-query slicing buffers, reused from one query to the next so a
+/// query allocates nothing once they have grown to the solver's fact and
+/// atom universe.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct Slicer {
+    /// Facts that mention a goal atom directly, plus the atom-free facts:
+    /// the one-hop neighbourhood the solver tries first.
+    pub(crate) tier1: Vec<u32>,
+    /// Facts transitively connected to the goal, plus the atom-free facts.
+    pub(crate) sliced: Vec<u32>,
+    /// Every other fact: shares no atom with `sliced` or the goal.
+    pub(crate) residual: Vec<u32>,
+    /// `relevant[i]`: fact `chain[i]` belongs to `sliced`.
+    relevant: Vec<bool>,
+    reachable: EpochMask,
+}
+
+impl Slicer {
+    /// Starts a query over atom ids `0..atom_count`: no goal atom marked.
+    pub(crate) fn begin(&mut self, atom_count: usize) {
+        self.reachable.begin(atom_count);
     }
-    let mut relevant = vec![false; fact_atoms.len()];
-    // Atom-free facts are always relevant; they seed nothing.
-    for (i, atoms) in fact_atoms.iter().enumerate() {
-        if atoms.is_empty() {
-            relevant[i] = true;
-        }
+
+    /// Marks atom `id` as one the goal mentions.
+    pub(crate) fn mark_goal_atom(&mut self, id: u32) {
+        self.reachable.set(id);
     }
-    // Transitive closure: a fact touching any reachable atom makes all of its
-    // atoms reachable. Iterate to fixpoint (each pass marks at least one new
-    // fact or stops, so the loop runs at most `facts` times).
-    loop {
-        let mut changed = false;
-        for (i, atoms) in fact_atoms.iter().enumerate() {
-            if relevant[i] || atoms.is_empty() {
-                continue;
-            }
-            if atoms.iter().any(|&a| reachable.get(a)) {
-                relevant[i] = true;
-                for &a in atoms.iter() {
-                    reachable.set(a);
+
+    /// Splits `chain` (fact ids, order kept) into `tier1`, `sliced` and
+    /// `residual` with respect to the goal atoms marked since
+    /// [`Slicer::begin`]. `fact_atoms[id]` is fact `id`'s sorted atom-id
+    /// set.
+    pub(crate) fn split(&mut self, chain: &[u32], fact_atoms: &[Vec<u32>]) {
+        let atoms_of = |id: u32| fact_atoms[id as usize].as_slice();
+        let reachable = &mut self.reachable;
+        // One-hop neighbourhood, read off before the closure below marks
+        // more atoms.
+        self.tier1.clear();
+        self.tier1.extend(chain.iter().copied().filter(|&id| {
+            let atoms = atoms_of(id);
+            atoms.is_empty() || atoms.iter().any(|&a| reachable.get(a))
+        }));
+        // Atom-free facts are always relevant; they seed nothing.
+        self.relevant.clear();
+        self.relevant.extend(chain.iter().map(|&id| atoms_of(id).is_empty()));
+        // Transitive closure: a fact touching any reachable atom makes all
+        // of its atoms reachable. Iterate to fixpoint (each pass marks at
+        // least one new fact or stops, so the loop runs at most `facts`
+        // times).
+        loop {
+            let mut changed = false;
+            for (i, &id) in chain.iter().enumerate() {
+                let atoms = atoms_of(id);
+                if self.relevant[i] || atoms.is_empty() {
+                    continue;
                 }
-                changed = true;
+                if atoms.iter().any(|&a| reachable.get(a)) {
+                    self.relevant[i] = true;
+                    for &a in atoms {
+                        reachable.set(a);
+                    }
+                    changed = true;
+                }
+            }
+            if !changed {
+                break;
             }
         }
-        if !changed {
-            break;
+        self.sliced.clear();
+        self.residual.clear();
+        for (&id, &relevant) in chain.iter().zip(&self.relevant) {
+            if relevant {
+                self.sliced.push(id);
+            } else {
+                self.residual.push(id);
+            }
         }
     }
-    let mut keep = Vec::new();
-    let mut drop = Vec::new();
-    for (i, flag) in relevant.iter().enumerate() {
-        if *flag {
-            keep.push(i);
-        } else {
-            drop.push(i);
-        }
-    }
-    (keep, drop)
 }
 
 /// Groups fact indices into connected components (facts sharing any atom,
@@ -194,39 +194,68 @@ pub(crate) fn components(fact_atoms: &[&[u32]], atom_count: usize) -> Vec<Vec<us
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::expr::LinExpr;
+    use crate::expr::{LinExpr, Term};
+    use crate::pred::Pred;
 
     #[test]
     fn goal_atoms_include_nested_terms() {
         let app =
             LinExpr::from_term(Term::app("Max::#O", vec![LinExpr::var("A"), LinExpr::var("B")]), 1);
         let goal = Pred::ge(app, LinExpr::var("C"));
-        let set = atoms_of(&goal);
+        let mut set = Vec::new();
+        goal.for_each_atom(&mut |t| set.push(t));
+        set.sort_unstable();
+        set.dedup();
         assert!(set.contains(&&Term::var("A")));
         assert!(set.contains(&&Term::var("B")));
         assert!(set.contains(&&Term::var("C")));
         assert_eq!(set.len(), 4); // plus the application itself
     }
 
+    /// Splits facts `0..fact_atoms.len()` (fact id = index) for a goal on
+    /// `goal_atoms`, returning (tier-1, sliced, residual).
+    fn split(fact_atoms: &[Vec<u32>], goal_atoms: &[u32]) -> (Vec<u32>, Vec<u32>, Vec<u32>) {
+        let chain: Vec<u32> = (0..fact_atoms.len() as u32).collect();
+        let atom_count = fact_atoms.iter().flatten().chain(goal_atoms).max().map_or(0, |&a| a + 1);
+        let mut slicer = Slicer::default();
+        slicer.begin(atom_count as usize);
+        for &a in goal_atoms {
+            slicer.mark_goal_atom(a);
+        }
+        slicer.split(&chain, fact_atoms);
+        (slicer.tier1, slicer.sliced, slicer.residual)
+    }
+
     #[test]
     fn partition_follows_transitive_links() {
         // Atom ids: A=0, B=1, C=2, D=3. Goal on A; A linked to B by fact 0;
         // B linked to C by fact 1; D isolated in fact 2.
-        let f0: &[u32] = &[0, 1];
-        let f1: &[u32] = &[1, 2];
-        let f2: &[u32] = &[3];
-        let (keep, drop) = partition(&[f0, f1, f2], &[0], 4, &mut EpochMask::default());
+        let (tier1, keep, drop) = split(&[vec![0, 1], vec![1, 2], vec![3]], &[0]);
+        assert_eq!(tier1, vec![0]);
         assert_eq!(keep, vec![0, 1]);
         assert_eq!(drop, vec![2]);
     }
 
     #[test]
     fn constant_facts_always_kept() {
-        let f_const: &[u32] = &[];
-        let f_iso: &[u32] = &[1];
-        let (keep, drop) = partition(&[f_const, f_iso], &[0], 2, &mut EpochMask::default());
+        let (tier1, keep, drop) = split(&[vec![], vec![1]], &[0]);
+        assert_eq!(tier1, vec![0]);
         assert_eq!(keep, vec![0]);
         assert_eq!(drop, vec![1]);
+    }
+
+    #[test]
+    fn buffers_are_reused_across_queries() {
+        // A second split on the same buffers sees nothing of the first.
+        let facts = [vec![0, 1], vec![1, 2], vec![3]];
+        let chain: Vec<u32> = vec![0, 1, 2];
+        let mut slicer = Slicer::default();
+        for goal_atom in [0, 3] {
+            slicer.begin(4);
+            slicer.mark_goal_atom(goal_atom);
+            slicer.split(&chain, &facts);
+        }
+        assert_eq!((slicer.tier1, slicer.sliced, slicer.residual), (vec![2], vec![2], vec![0, 1]));
     }
 
     #[test]

@@ -22,8 +22,10 @@ use crate::expr::{funcs, LinExpr, Term};
 use crate::model::Model;
 use crate::pred::Pred;
 use crate::slice;
-use lilac_util::hash::FxHashMap;
+use lilac_util::hash::{FxHashMap, FxHasher};
+use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet};
+use std::hash::{Hash, Hasher};
 
 /// Result of a [`Solver::prove`] query.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -275,7 +277,11 @@ struct FactLog {
     fact_atoms: Vec<Vec<u32>>,
     /// fact_id → renaming-invariant hash of the predicate.
     fact_hashes: Vec<u64>,
-    fact_ids: FxHashMap<Pred, u32>,
+    /// Content hash → the newest fact id with that hash; older ones chain
+    /// through `same_hash`. Each predicate is stored once, in `preds`.
+    by_hash: FxHashMap<u64, u32>,
+    /// fact_id → the previous fact id with the same content hash.
+    same_hash: Vec<Option<u32>>,
     atom_ids: FxHashMap<Term, u32>,
     /// Fill `fact_atoms` and `atom_ids`.
     atoms: bool,
@@ -293,13 +299,29 @@ impl FactLog {
         id
     }
 
-    fn intern_fact(&mut self, pred: Pred) -> u32 {
-        if let Some(&id) = self.fact_ids.get(&pred) {
-            return id;
+    /// The id of `pred`, interning it first if it is new. Looks up by
+    /// reference, so a borrowed fact is cloned only on its first insert.
+    fn intern_fact(&mut self, pred: Cow<'_, Pred>) -> u32 {
+        let key = {
+            let mut state = FxHasher::default();
+            pred.hash(&mut state);
+            state.finish()
+        };
+        let mut cursor = self.by_hash.get(&key).copied();
+        while let Some(id) = cursor {
+            if self.preds[id as usize] == *pred {
+                return id;
+            }
+            cursor = self.same_hash[id as usize];
         }
         if self.atoms {
-            let mut atom_list: Vec<u32> =
-                slice::atoms_of(&pred).into_iter().map(|t| self.intern_atom(t)).collect();
+            // Atoms are interned in term order, so atom ids do not depend
+            // on where in the predicate a term first occurs.
+            let mut terms: Vec<&Term> = Vec::new();
+            pred.for_each_atom(&mut |t| terms.push(t));
+            terms.sort_unstable();
+            terms.dedup();
+            let mut atom_list: Vec<u32> = terms.into_iter().map(|t| self.intern_atom(t)).collect();
             atom_list.sort_unstable();
             atom_list.dedup();
             self.fact_atoms.push(atom_list);
@@ -308,26 +330,32 @@ impl FactLog {
             self.fact_hashes.push(alpha::fact_hash(&pred));
         }
         let id = self.preds.len() as u32;
-        self.preds.push(pred.clone());
-        self.fact_ids.insert(pred, id);
+        self.same_hash.push(self.by_hash.insert(key, id));
+        self.preds.push(pred.into_owned());
         id
     }
 
-    fn push(&mut self, pred: Pred) {
+    fn push(&mut self, pred: Cow<'_, Pred>) {
         let fact_id = self.intern_fact(pred);
         self.nodes.push(FactNode { fact_id, parent: self.head });
         self.head = Some(self.nodes.len() as u32 - 1);
     }
 
-    /// Fact ids along the chain ending at `head`, oldest first (may contain
-    /// duplicates if the same fact was assumed in nested scopes).
-    fn chain_from(&self, head: Option<u32>) -> Vec<u32> {
-        let mut out = Vec::new();
+    /// Appends the fact ids along the chain ending at `head` to `out`,
+    /// newest first (may contain duplicates if the same fact was assumed in
+    /// nested scopes).
+    fn chain_into(&self, head: Option<u32>, out: &mut Vec<u32>) {
         let mut cursor = head;
         while let Some(idx) = cursor {
             out.push(self.nodes[idx as usize].fact_id);
             cursor = self.nodes[idx as usize].parent;
         }
+    }
+
+    /// Fact ids along the chain ending at `head`, oldest first.
+    fn chain_from(&self, head: Option<u32>) -> Vec<u32> {
+        let mut out = Vec::new();
+        self.chain_into(head, &mut out);
         out.reverse();
         out
     }
@@ -432,8 +460,10 @@ pub struct Solver {
     query_cache: FxHashMap<u64, Vec<CacheEntry>>,
     consistency_cache: FxHashMap<Vec<u32>, bool>,
     residual_cache: FxHashMap<Vec<u32>, ResidualStatus>,
-    /// Reusable atom-mark scratch for the per-query slicing passes.
-    scratch_mask: slice::EpochMask,
+    /// The fact ids of the query being decided, reused across queries.
+    chain: Vec<u32>,
+    /// The slicing buffers, reused across queries.
+    slicer: slice::Slicer,
 }
 
 impl Default for Solver {
@@ -457,20 +487,35 @@ impl Solver {
             query_cache: FxHashMap::default(),
             consistency_cache: FxHashMap::default(),
             residual_cache: FxHashMap::default(),
-            scratch_mask: slice::EpochMask::default(),
+            chain: Vec::new(),
+            slicer: slice::Slicer::default(),
         }
     }
 
     /// Adds a fact the solver may use in subsequent queries.
     pub fn assume(&mut self, fact: Pred) {
         if fact != Pred::True {
-            self.facts.push(fact);
+            self.facts.push(Cow::Owned(fact));
+        }
+    }
+
+    /// Like [`Solver::assume`], for a borrowed fact: it is cloned only if
+    /// the solver has not seen it before.
+    pub fn assume_ref(&mut self, fact: &Pred) {
+        if *fact != Pred::True {
+            self.facts.push(Cow::Borrowed(fact));
         }
     }
 
     /// Number of facts in the current scope.
     pub fn facts_len(&self) -> usize {
-        self.facts.chain_from(self.facts.head).len()
+        let mut len = 0;
+        let mut cursor = self.facts.head;
+        while let Some(idx) = cursor {
+            len += 1;
+            cursor = self.facts.nodes[idx as usize].parent;
+        }
+        len
     }
 
     /// Query statistics accumulated so far.
@@ -493,7 +538,9 @@ impl Solver {
 
     /// Attempts to prove `goal` from the facts in the current scope.
     pub fn prove(&mut self, goal: &Pred) -> Outcome {
-        self.prove_ids(self.facts.chain_from(self.facts.head), goal)
+        self.chain.clear();
+        self.facts.chain_into(self.facts.head, &mut self.chain);
+        self.prove_chain(goal)
     }
 
     /// Attempts to prove `goal` from the scope recorded by `mark`, extended
@@ -502,8 +549,8 @@ impl Solver {
     /// solvers: the base facts are shared structurally and only `extra` is
     /// materialized.
     pub fn prove_under(&mut self, mark: FactMark, extra: &[Pred], goal: &Pred) -> Outcome {
-        let ids = self.ids_under(mark, extra);
-        self.prove_ids(ids, goal)
+        self.chain_under(mark, extra);
+        self.prove_chain(goal)
     }
 
     /// Attempts to prove `goal` from the union of the scopes recorded by `a`
@@ -511,94 +558,96 @@ impl Solver {
     /// `prove_under(a, &facts_at(b), goal)`, without cloning or re-interning
     /// `b`'s facts: the scopes are joined by fact id.
     pub fn prove_under_join(&mut self, a: FactMark, b: FactMark, goal: &Pred) -> Outcome {
-        let ids = self.ids_joined(a, b);
-        self.prove_ids(ids, goal)
+        self.chain_joined(a, b);
+        self.prove_chain(goal)
     }
 
     /// Like [`Solver::facts_consistent`], but for the scope recorded by
     /// `mark` extended with `extra` facts.
     pub fn consistent_under(&mut self, mark: FactMark, extra: &[Pred]) -> bool {
-        let ids = self.ids_under(mark, extra);
-        self.ids_consistent(ids)
+        self.chain_under(mark, extra);
+        self.chain_consistent()
     }
 
     /// Like [`Solver::consistent_under`] with `extra = facts_at(b)`, joining
     /// the two scopes by fact id (see [`Solver::prove_under_join`]).
     pub fn consistent_under_join(&mut self, a: FactMark, b: FactMark) -> bool {
-        let ids = self.ids_joined(a, b);
-        self.ids_consistent(ids)
+        self.chain_joined(a, b);
+        self.chain_consistent()
     }
 
     /// The facts recorded at `mark`, oldest first (cloned).
     pub fn facts_at(&self, mark: FactMark) -> Vec<Pred> {
-        self.facts.chain_from(mark.0).into_iter().map(|id| self.facts.pred(id).clone()).collect()
+        self.fact_refs_at(mark).into_iter().cloned().collect()
     }
 
-    /// Fact ids of the scope at `mark` followed by `extra`, interned (the
-    /// facts [`Solver::assume`] would push there).
-    fn ids_under(&mut self, mark: FactMark, extra: &[Pred]) -> Vec<u32> {
-        let mut ids = self.facts.chain_from(mark.0);
+    /// The facts recorded at `mark`, oldest first, borrowed from the solver.
+    pub fn fact_refs_at(&self, mark: FactMark) -> Vec<&Pred> {
+        self.facts.chain_from(mark.0).into_iter().map(|id| self.facts.pred(id)).collect()
+    }
+
+    /// Fills `self.chain` with the fact ids of the scope at `mark` and
+    /// `extra`, interned (the facts [`Solver::assume`] would push there).
+    fn chain_under(&mut self, mark: FactMark, extra: &[Pred]) {
+        self.chain.clear();
+        self.facts.chain_into(mark.0, &mut self.chain);
         for f in extra {
             if *f != Pred::True {
-                ids.push(self.facts.intern_fact(f.clone()));
+                self.chain.push(self.facts.intern_fact(Cow::Borrowed(f)));
             }
         }
-        ids
     }
 
-    /// Fact ids of the scope at `a` followed by those of the scope at `b`.
-    fn ids_joined(&self, a: FactMark, b: FactMark) -> Vec<u32> {
-        let mut ids = self.facts.chain_from(a.0);
-        ids.extend(self.facts.chain_from(b.0));
-        ids
+    /// Fills `self.chain` with the fact ids of the scopes at `a` and `b`.
+    fn chain_joined(&mut self, a: FactMark, b: FactMark) {
+        self.chain.clear();
+        self.facts.chain_into(a.0, &mut self.chain);
+        self.facts.chain_into(b.0, &mut self.chain);
     }
 
-    /// Decides `goal` from the facts `fact_ids` (in any order, possibly
+    /// Decides `goal` from the facts in `self.chain` (in any order, possibly
     /// repeated): slicing, the tiered cached decision and residual rescue.
-    fn prove_ids(&mut self, mut chain: Vec<u32>, goal: &Pred) -> Outcome {
+    /// The per-query buffers are the solver's own, so a query answered from
+    /// the cache allocates nothing.
+    fn prove_chain(&mut self, goal: &Pred) -> Outcome {
         if let Some(budget) = &self.config.budget {
             budget.charge();
         }
         self.stats.queries += 1;
+        let mut chain = std::mem::take(&mut self.chain);
         chain.sort_unstable();
         chain.dedup();
+        let mut slicer = std::mem::take(&mut self.slicer);
+        let outcome = self.decide_sliced(&chain, &mut slicer, goal);
+        self.chain = chain;
+        self.slicer = slicer;
+        match &outcome {
+            Outcome::Proved => self.stats.proved += 1,
+            Outcome::Disproved(_) => self.stats.disproved += 1,
+            Outcome::Unknown => self.stats.unknown += 1,
+        }
+        outcome
+    }
 
+    /// The body of [`Solver::prove_chain`] over the sorted, deduplicated
+    /// fact ids `chain`, with `slicer`'s buffers on loan.
+    fn decide_sliced(&mut self, chain: &[u32], slicer: &mut slice::Slicer, goal: &Pred) -> Outcome {
         // 1. Relevance slicing: keep only facts connected to the goal, and
         // additionally note which of those touch a goal atom *directly* (the
         // one-hop neighbourhood used by the tiered fast path below).
-        let (sliced, residual, tier1) = if self.config.slicing {
+        let (sliced, residual, tier1): (&[u32], &[u32], &[u32]) = if self.config.slicing {
             let facts = &self.facts;
-            let mask = &mut self.scratch_mask;
-            let goal_atoms: Vec<u32> = slice::atoms_of(goal)
-                .into_iter()
-                .filter_map(|t| facts.atom_ids.get(t).copied())
-                .collect();
-            let atom_sets: Vec<&[u32]> =
-                chain.iter().map(|&id| facts.fact_atoms[id as usize].as_slice()).collect();
-            // One-hop neighbourhood first: `partition` reuses the same mask
-            // afterwards (fresh epoch), so mark goal atoms, filter, then run
-            // the transitive closure.
-            mask.begin(facts.atom_ids.len());
-            for &a in &goal_atoms {
-                mask.set(a);
-            }
-            let tier1: Vec<u32> = chain
-                .iter()
-                .copied()
-                .filter(|&id| {
-                    let atoms = &facts.fact_atoms[id as usize];
-                    atoms.is_empty() || atoms.iter().any(|&a| mask.get(a))
-                })
-                .collect();
-            let (keep, drop) =
-                slice::partition(&atom_sets, &goal_atoms, facts.atom_ids.len(), mask);
-            (
-                keep.into_iter().map(|k| chain[k]).collect::<Vec<_>>(),
-                drop.into_iter().map(|k| chain[k]).collect::<Vec<_>>(),
-                tier1,
-            )
+            slicer.begin(facts.atom_ids.len());
+            // A goal atom no fact mentions cannot connect anything.
+            goal.for_each_atom(&mut |t| {
+                if let Some(&a) = facts.atom_ids.get(t) {
+                    slicer.mark_goal_atom(a);
+                }
+            });
+            slicer.split(chain, &facts.fact_atoms);
+            (&slicer.sliced, &slicer.residual, &slicer.tier1)
         } else {
-            (chain, Vec::new(), Vec::new())
+            (chain, &[], &[])
         };
         self.stats.facts_sliced_out += residual.len();
 
@@ -630,7 +679,7 @@ impl Solver {
         // residual verifiably has one, so an undecided residual degrades a
         // counterexample to `Unknown` rather than fabricating one. The
         // status check is goal-independent and caches extremely well.
-        let outcome = if !sliced_outcome.is_proved() && !residual.is_empty() {
+        if !sliced_outcome.is_proved() && !residual.is_empty() {
             match self.residual_status(residual) {
                 ResidualStatus::Unsat => Outcome::Proved,
                 ResidualStatus::Sat => sliced_outcome,
@@ -641,14 +690,7 @@ impl Solver {
             }
         } else {
             sliced_outcome
-        };
-
-        match &outcome {
-            Outcome::Proved => self.stats.proved += 1,
-            Outcome::Disproved(_) => self.stats.disproved += 1,
-            Outcome::Unknown => self.stats.unknown += 1,
         }
-        outcome
     }
 
     /// Decides `facts ⊢ goal` through the alpha-invariant memoization cache
@@ -659,10 +701,11 @@ impl Solver {
     /// transported back through the bijection into the query's own symbols.
     /// Fact-id order follows assumption order, which lines up between
     /// structurally parallel scopes, making the pairwise match well-defined.
-    fn cached_decide(&mut self, fact_ids: Vec<u32>, goal: &Pred) -> Outcome {
+    /// Only a miss copies `fact_ids`, into the entry it records.
+    fn cached_decide(&mut self, fact_ids: &[u32], goal: &Pred) -> Outcome {
         if !self.config.caching {
             self.stats.cache_misses += 1;
-            return self.decide(&fact_ids, goal);
+            return self.decide(fact_ids, goal);
         }
         let hash =
             alpha::query_hash(fact_ids.iter().map(|&id| self.facts.fact_hashes[id as usize]), goal);
@@ -675,7 +718,7 @@ impl Solver {
                     }
                     // Identical query (same interned facts, same goal):
                     // reuse verbatim, no bijection needed.
-                    if entry.fact_ids == fact_ids && entry.goal == *goal {
+                    if entry.fact_ids == *fact_ids && entry.goal == *goal {
                         return Some(entry.outcome.clone());
                     }
                     let map = alpha::alpha_match(
@@ -722,7 +765,7 @@ impl Solver {
         }
         // Full miss: decide and record in every configured cache level.
         self.stats.cache_misses += 1;
-        let outcome = self.decide(&fact_ids, goal);
+        let outcome = self.decide(fact_ids, goal);
         if let Some(shared) = &shared {
             let fact_preds: Vec<Pred> =
                 fact_ids.iter().map(|&id| self.facts.pred(id).clone()).collect();
@@ -739,9 +782,9 @@ impl Solver {
     }
 
     /// Inserts one entry into the solver-local query cache.
-    fn record_local(&mut self, hash: u64, fact_ids: Vec<u32>, goal: &Pred, outcome: &Outcome) {
+    fn record_local(&mut self, hash: u64, fact_ids: &[u32], goal: &Pred, outcome: &Outcome) {
         self.query_cache.entry(hash).or_default().push(CacheEntry {
-            fact_ids,
+            fact_ids: fact_ids.to_vec(),
             goal: goal.clone(),
             outcome: outcome.clone(),
         });
@@ -759,24 +802,36 @@ impl Solver {
         // whole-formula copies (conjunction, NNF, distribution); `cube_sat`
         // canonicalizes cubes either way, so the verdict is byte-identical
         // to the general path.
+        //
+        // A goal cube holding an atom-free false literal is unsatisfiable
+        // whatever the facts say, so it is counted and skipped before the
+        // fact base is copied; the base is built at most once, and only if
+        // some goal cube needs it.
         let all_literals =
             fact_ids.iter().all(|&id| matches!(self.facts.pred(id), Pred::Le(_) | Pred::Eq(_)));
         if all_literals {
-            let negated = goal.clone().negate().to_nnf();
-            let Some(goal_cubes) = negated.to_dnf(MAX_CUBES) else {
+            let Some(goal_cubes) = goal.negated_dnf(MAX_CUBES) else {
                 return Outcome::Unknown;
             };
             if goal_cubes.is_empty() {
                 return Outcome::Proved;
             }
-            let mut base: Vec<Pred> =
-                fact_ids.iter().map(|&id| self.facts.pred(id).clone()).collect();
-            base.sort();
-            base.dedup();
+            let mut base: Option<Vec<Pred>> = None;
             let mut any_unknown = false;
             for goal_cube in goal_cubes {
                 self.stats.cubes += 1;
-                let mut cube = base.clone();
+                if goal_cube.iter().any(Pred::is_false_literal) {
+                    continue;
+                }
+                let base = base.get_or_insert_with(|| {
+                    let mut base: Vec<Pred> =
+                        fact_ids.iter().map(|&id| self.facts.pred(id).clone()).collect();
+                    base.sort();
+                    base.dedup();
+                    base
+                });
+                let mut cube = Vec::with_capacity(base.len() + goal_cube.len());
+                cube.extend_from_slice(base);
                 cube.extend(goal_cube);
                 match self.cube_sat(cube, true) {
                     SatResult::Unsat => continue,
@@ -802,15 +857,20 @@ impl Solver {
     /// Returns `false` only when the facts are definitely contradictory;
     /// inconclusive answers are treated as consistent.
     pub fn facts_consistent(&mut self) -> bool {
-        self.ids_consistent(self.facts.chain_from(self.facts.head))
+        self.chain.clear();
+        self.facts.chain_into(self.facts.head, &mut self.chain);
+        self.chain_consistent()
     }
 
-    /// True unless the facts `ids` (in any order, possibly repeated) are
-    /// definitely contradictory.
-    fn ids_consistent(&mut self, mut ids: Vec<u32>) -> bool {
-        ids.sort_unstable();
-        ids.dedup();
-        !self.set_inconsistent(ids)
+    /// True unless the facts in `self.chain` (in any order, possibly
+    /// repeated) are definitely contradictory.
+    fn chain_consistent(&mut self) -> bool {
+        let mut chain = std::mem::take(&mut self.chain);
+        chain.sort_unstable();
+        chain.dedup();
+        let inconsistent = self.set_inconsistent(&chain);
+        self.chain = chain;
+        !inconsistent
     }
 
     /// Memoized unsatisfiability check of a canonical (sorted) fact-id set.
@@ -820,7 +880,7 @@ impl Solver {
     /// iff some group is, each group's cube is much smaller, and the
     /// per-group verdicts memoize across the many consistency queries that
     /// differ only in one group (e.g. branch path conditions).
-    fn set_inconsistent(&mut self, sorted_ids: Vec<u32>) -> bool {
+    fn set_inconsistent(&mut self, sorted_ids: &[u32]) -> bool {
         if !self.config.slicing {
             return self.component_inconsistent(sorted_ids);
         }
@@ -833,7 +893,7 @@ impl Solver {
         let mut inconsistent = false;
         for group in groups {
             let ids: Vec<u32> = group.into_iter().map(|k| sorted_ids[k]).collect();
-            if self.component_inconsistent(ids) {
+            if self.component_inconsistent(&ids) {
                 inconsistent = true;
                 // Keep going: callers may retry subsets, and warming the
                 // cache for every group is nearly free compared to a rerun.
@@ -846,7 +906,7 @@ impl Solver {
     /// the query as vacuously proved, `Sat` certifies that a sliced
     /// counterexample extends to the full fact set, and `Unknown` means
     /// neither — callers must not present a counterexample then.
-    fn residual_status(&mut self, sorted_ids: Vec<u32>) -> ResidualStatus {
+    fn residual_status(&mut self, sorted_ids: &[u32]) -> ResidualStatus {
         let atom_sets: Vec<&[u32]> =
             sorted_ids.iter().map(|&id| self.facts.fact_atoms[id as usize].as_slice()).collect();
         let groups = slice::components(&atom_sets, self.facts.atom_ids.len());
@@ -890,9 +950,9 @@ impl Solver {
         status
     }
 
-    fn component_inconsistent(&mut self, sorted_ids: Vec<u32>) -> bool {
+    fn component_inconsistent(&mut self, sorted_ids: &[u32]) -> bool {
         if self.config.caching {
-            if let Some(&answer) = self.consistency_cache.get(&sorted_ids) {
+            if let Some(&answer) = self.consistency_cache.get(sorted_ids) {
                 return answer;
             }
         }
@@ -902,7 +962,7 @@ impl Solver {
         let formula = Pred::and(facts);
         let unsat = matches!(self.check_sat_internal(&formula, false), SatResult::Unsat);
         if self.config.caching {
-            self.consistency_cache.insert(sorted_ids, unsat);
+            self.consistency_cache.insert(sorted_ids.to_vec(), unsat);
         }
         unsat
     }
@@ -935,14 +995,26 @@ impl Solver {
     }
 
     /// Satisfiability of a conjunction of `Le`/`Eq` literals.
-    fn cube_sat(&mut self, mut cube: Vec<Pred>, want_model: bool) -> SatResult {
+    fn cube_sat(&mut self, cube: Vec<Pred>, want_model: bool) -> SatResult {
+        // An atom-free false literal refutes the cube outright: saturation
+        // would report it at the end of its first round, after copying and
+        // rewriting every other literal, and touch no counter on the way.
+        if cube.iter().any(Pred::is_false_literal) {
+            return SatResult::Unsat;
+        }
+        self.saturated_cube_sat(cube, want_model)
+    }
+
+    /// [`Solver::cube_sat`] without the early exit: every cube is
+    /// saturated.
+    fn saturated_cube_sat(&mut self, mut cube: Vec<Pred>, want_model: bool) -> SatResult {
         // 0. Canonicalize: sort and deduplicate the literals. Duplicate
         // facts reach a cube through nested scopes and repeated obligations;
         // every literal removed here is one less operand for all eight
         // saturation rounds.
         cube.sort();
         cube.dedup();
-        let cube = &cube[..];
+        let cube_len = cube.len();
 
         // 1. Saturation.
         let saturated = match saturate(cube) {
@@ -973,7 +1045,7 @@ impl Solver {
         // exists; the rest become paired inequalities. The step bound scales
         // with the cube so legitimately large cubes are not cut off, and a
         // bailout is counted instead of vanishing silently.
-        let guard_limit = EQ_ELIM_GUARD.max(4 * cube.len());
+        let guard_limit = EQ_ELIM_GUARD.max(4 * cube_len);
         let mut pending = equalities;
         let mut guard = 0;
         while let Some(eq) = pending.pop() {
@@ -1047,8 +1119,10 @@ enum SatResult {
 
 /// Rewrites a cube of literals to a saturated form, or returns `None` if a
 /// contradiction is detected syntactically (e.g. `3 == 0` after folding).
-fn saturate(cube: &[Pred]) -> Option<Vec<Pred>> {
-    let mut lits: Vec<Pred> = cube.iter().map(fold_pred).collect();
+/// Literals are rewritten in place; one that no step touches is never
+/// copied.
+fn saturate(cube: Vec<Pred>) -> Option<Vec<Pred>> {
+    let mut lits: Vec<Pred> = cube.into_iter().map(fold_pred).collect();
     for _round in 0..8 {
         // Build a substitution from equalities of the form `t == constant`
         // or `t == u` (unit coefficients).
@@ -1131,28 +1205,20 @@ fn saturate(cube: &[Pred]) -> Option<Vec<Pred>> {
                 }
             }
             *changed = true;
-            Some(fold_expr(&out))
+            Some(fold_owned(out))
         };
-        let new_lits: Vec<Pred> = lits
-            .iter()
-            .map(|lit| match lit {
-                Pred::Eq(e) => match apply(e, &mut changed) {
-                    Some(e2) => Pred::Eq(e2),
-                    None => lit.clone(),
-                },
-                Pred::Le(e) => match apply(e, &mut changed) {
-                    Some(e2) => Pred::Le(e2),
-                    None => lit.clone(),
-                },
-                other => other.clone(),
-            })
-            .collect();
+        for lit in &mut lits {
+            if let Pred::Eq(e) | Pred::Le(e) = lit {
+                if let Some(e2) = apply(e, &mut changed) {
+                    *e = e2;
+                }
+            }
+        }
 
         // Congruence: find pairs of syntactically equal applications — they
         // are already merged by structural equality — nothing further needed
         // here because substitution canonicalized the arguments.
 
-        lits = new_lits;
         // Detect syntactic contradictions early.
         for lit in &lits {
             if let Pred::Eq(e) = lit {
@@ -1223,11 +1289,21 @@ fn fold_term(t: &Term) -> LinExpr {
     }
 }
 
-fn fold_pred(p: &Pred) -> Pred {
+/// [`fold_expr`] on an owned expression: one without applications is
+/// returned as it is, not copied.
+fn fold_owned(e: LinExpr) -> LinExpr {
+    if e.terms().all(|(t, _)| matches!(t, Term::Var(_))) {
+        e
+    } else {
+        fold_expr(&e)
+    }
+}
+
+fn fold_pred(p: Pred) -> Pred {
     match p {
-        Pred::Eq(e) => Pred::Eq(fold_expr(e)),
-        Pred::Le(e) => Pred::Le(fold_expr(e)),
-        other => other.clone(),
+        Pred::Eq(e) => Pred::Eq(fold_owned(e)),
+        Pred::Le(e) => Pred::Le(fold_owned(e)),
+        other => other,
     }
 }
 
@@ -1574,14 +1650,14 @@ impl Search {
                 Node::Slot(s) => values[s as usize],
                 Node::Apply(op, args) => self.apply(op, args, values)?,
             };
-            total += coeff * v;
+            total = total.checked_add(coeff.checked_mul(v)?)?;
         }
         Some(total)
     }
 
     /// Evaluates an interpreted application as `Model::eval_term` does:
-    /// `None` on division by zero, `log2` of a non-positive value, or
-    /// `exp2` outside `0..=62`.
+    /// `None` on division by zero, `log2` of a non-positive value, `exp2`
+    /// outside `0..=62`, or an `i64` overflow.
     fn apply(&self, op: Op, args: u32, values: &[i64]) -> Option<i64> {
         match op {
             Op::Log2 => {
@@ -1603,9 +1679,9 @@ impl Search {
                 let a = self.eval(args, values)?;
                 let b = self.eval(args + 1, values)?;
                 match op {
-                    Op::Mul => Some(a * b),
-                    Op::Div => (b != 0).then(|| a / b),
-                    _ => (b != 0).then(|| a % b),
+                    Op::Mul => a.checked_mul(b),
+                    Op::Div => a.checked_div(b),
+                    _ => a.checked_rem(b),
                 }
             }
             Op::Undefined => None,
@@ -2120,6 +2196,115 @@ mod tests {
             "{found} of {} sets have a model",
             sets.len()
         );
+    }
+
+    /// The reference for the atom-free early exits: `decide`'s literal
+    /// path as it was without them, joining every goal cube to the whole
+    /// fact base and saturating it.
+    fn reference_decide(s: &mut Solver, fact_ids: &[u32], goal: &Pred) -> Outcome {
+        let Some(goal_cubes) = goal.clone().negate().to_nnf().to_dnf(MAX_CUBES) else {
+            return Outcome::Unknown;
+        };
+        if goal_cubes.is_empty() {
+            return Outcome::Proved;
+        }
+        let mut base: Vec<Pred> = fact_ids.iter().map(|&id| s.facts.pred(id).clone()).collect();
+        base.sort();
+        base.dedup();
+        let mut any_unknown = false;
+        for goal_cube in goal_cubes {
+            s.stats.cubes += 1;
+            let mut cube = base.clone();
+            cube.extend(goal_cube);
+            match s.saturated_cube_sat(cube, true) {
+                SatResult::Unsat => continue,
+                SatResult::Sat(model) => return Outcome::Disproved(model),
+                SatResult::Unknown => any_unknown = true,
+            }
+        }
+        if any_unknown {
+            Outcome::Unknown
+        } else {
+            Outcome::Proved
+        }
+    }
+
+    /// A literal over `A`, `B`, `C` (see [`search_literal`]) or, one time
+    /// in three, an atom-free one, true or false.
+    fn cube_literal(rng: &mut lilac_util::rng::Rng) -> Pred {
+        if rng.chance(1, 3) {
+            let c = LinExpr::constant(rng.range_i64(-2, 2));
+            if rng.chance(1, 2) {
+                Pred::Le(c)
+            } else {
+                Pred::Eq(c)
+            }
+        } else {
+            search_literal(rng)
+        }
+    }
+
+    #[test]
+    fn early_exits_match_saturation() {
+        let mut rng = lilac_util::rng::Rng::new(0xea51);
+        let (mut exits, mut sat) = (0, 0);
+        for _ in 0..400 {
+            let facts: Vec<Pred> = (0..rng.index(4)).map(|_| cube_literal(&mut rng)).collect();
+            let goal = match rng.index(3) {
+                0 => cube_literal(&mut rng),
+                1 => Pred::and([cube_literal(&mut rng), cube_literal(&mut rng)]),
+                _ => Pred::or([cube_literal(&mut rng), cube_literal(&mut rng)]),
+            };
+            // Both sides see the same interned facts.
+            let mut fast = Solver::with_config(SolverConfig::naive());
+            for f in &facts {
+                fast.assume(f.clone());
+            }
+            let ids = fast.facts.chain_from(fast.facts.head);
+            let mut reference = fast.clone();
+            let got = fast.decide(&ids, &goal);
+            let want = reference_decide(&mut reference, &ids, &goal);
+            assert_eq!(got, want, "{facts:?} ⊢ {goal:?}");
+            assert_eq!(fast.stats(), reference.stats(), "{facts:?} ⊢ {goal:?}");
+
+            // The kernel alone, with and without a model.
+            let mut cube = facts.clone();
+            cube.push(cube_literal(&mut rng));
+            exits += usize::from(cube.iter().any(Pred::is_false_literal));
+            for want_model in [false, true] {
+                let (mut a, mut b) = (Solver::new(), Solver::new());
+                let got = a.cube_sat(cube.clone(), want_model);
+                let want = b.saturated_cube_sat(cube.clone(), want_model);
+                sat += usize::from(matches!(got, SatResult::Sat(_)));
+                assert_eq!(format!("{got:?}"), format!("{want:?}"), "{cube:?}");
+                assert_eq!(a.stats(), b.stats(), "{cube:?}");
+            }
+        }
+        assert!(exits > 50 && sat > 50, "{exits} early exits, {sat} satisfiable cubes");
+    }
+
+    #[test]
+    fn model_search_treats_overflow_as_undefined() {
+        // 2·2^62 overflows an i64: X = 62 must not pass for a model of
+        // `2*exp2(X) <= 0` (wrapped, it reads i64::MIN), and X = 61 fails
+        // the literal honestly.
+        let x = var("X");
+        let lits = [Pred::Le(x.exp2().scaled(2)), Pred::ge(x.clone(), LinExpr::constant(61))];
+        let mut tried = 0;
+        let model = find_model(&lits, &mut tried);
+        if let Some(m) = &model {
+            assert!(lits.iter().all(|l| l.eval(m) == Some(true)), "{m} violates {lits:?}");
+        }
+        assert_eq!(model, None);
+        assert!(tried > 0);
+        let at = |v: i64| -> Model { [(Term::var("X"), v)].into_iter().collect() };
+        assert_eq!(at(62).eval(&x.exp2().scaled(2)), None);
+        assert_eq!(at(61).eval(&x.exp2().scaled(2)), Some(1 << 62));
+        // i64::MIN / -1 and i64::MIN % -1 overflow too.
+        let min: Model = [(Term::var("A"), i64::MIN), (Term::var("B"), -1)].into_iter().collect();
+        assert_eq!(min.eval(&var("A").divide(&var("B"))), None);
+        assert_eq!(min.eval(&var("A").modulo(&var("B"))), None);
+        assert_eq!(min.eval(&var("A").multiply(&var("B"))), None);
     }
 
     #[test]
