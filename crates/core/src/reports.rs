@@ -47,7 +47,13 @@ const REPORT_MAGIC: &[u8; 8] = b"LILACRPC";
 const REPORT_VERSION: u32 = 1;
 /// Most clean verdicts a store retains; past it the oldest entry not
 /// replayed since it last reached the front of the queue is evicted.
-const REPORT_CAPACITY: usize = 65_536;
+///
+/// The map briefly holds one entry more (an insert precedes its eviction),
+/// and std's map rehashes its tombstones in place only while that count is
+/// at most half its load limit; past that it doubles. 28 671 + 1 entries is
+/// half the 57 344-entry load limit of 65 536 buckets, so the table settles
+/// there and never doubles however long a stream of edits runs.
+const REPORT_CAPACITY: usize = 28_671;
 
 /// What a clean verdict boils down to: the obligation and proof counts,
 /// plus whether it was replayed since it last reached the front of the
@@ -319,6 +325,22 @@ mod tests {
         assert!(store.lookup(hash(1), Symbol::intern("A")).is_none(), "oldest evicted");
         assert!(store.lookup(hash(2), Symbol::intern("B")).is_some());
         assert!(store.lookup(hash(3), Symbol::intern("C")).is_some());
+    }
+
+    #[test]
+    fn table_stops_growing_at_the_capacity_bound() {
+        // Four times the capacity of distinct keys, each insert followed by
+        // a lookup of an older key, so evictions, tombstones and second
+        // chances all occur.
+        let store = PriorReports::new();
+        let report = clean_report("A", 1, 1);
+        for n in 0..4 * REPORT_CAPACITY as u64 {
+            store.insert(hash(n), &report);
+            store.lookup(hash(n / 2), report.name);
+        }
+        let entries = store.entries();
+        assert_eq!(entries.map.len(), REPORT_CAPACITY);
+        assert!(entries.map.capacity() <= 57_344, "table grew to {}", entries.map.capacity());
     }
 
     #[test]
