@@ -693,11 +693,22 @@ pub(crate) fn drive_netlist(
             derive_seed = crate::fnv1a(derive_seed, &v.to_le_bytes());
         }
     }
-    let mut references: Vec<Simulator> = Vec::new();
+    // One reference interpreter serves every derived lane: reset to the
+    // power-up state, driven `max_lat + 1` cycles, and its settled outputs
+    // recorded (`derived[j][o]`: derived lane j, output `all_outputs[o]`).
+    let mut reference = if packed < lane_count {
+        Some(
+            Simulator::new(netlist)
+                .map_err(|e| Failure::new("compiled", format!("netlist rejected: {e}")))?,
+        )
+    } else {
+        None
+    };
+    let mut derived: Vec<Vec<u64>> = Vec::with_capacity(lane_count - packed);
     for lane in packed..lane_count {
+        let Some(reference) = reference.as_mut() else { break };
         let mut lane_rng = Rng::new(derive_seed ^ (lane as u64).wrapping_mul(0x9e37_79b9));
-        let mut reference = Simulator::new(netlist)
-            .map_err(|e| Failure::new("compiled", format!("netlist rejected: {e}")))?;
+        reference.reset();
         for (k, name) in inputs.iter().enumerate() {
             let width = netlist.inputs[input_position[k]].width;
             let mask = if width >= 64 { u64::MAX } else { (1u64 << width) - 1 };
@@ -707,13 +718,11 @@ pub(crate) fn drive_netlist(
                 .map_err(|e| Failure::new("compiled", format!("lane stimulus rejected: {e}")))?;
             reference.set_input(name, value);
         }
-        references.push(reference);
+        reference.run(max_lat as usize + 1);
+        derived.push(all_outputs.iter().map(|name| reference.peek(name)).collect());
     }
     for _ in 0..=max_lat {
         batch.step();
-        for reference in &mut references {
-            reference.step();
-        }
     }
     for (name, _, values) in outputs {
         let got = batch.output_lanes(name);
@@ -729,11 +738,11 @@ pub(crate) fn drive_netlist(
             }
         }
     }
-    for name in &all_outputs {
+    for (o, name) in all_outputs.iter().enumerate() {
         let got = batch.output_lanes(name);
-        for (j, reference) in references.iter_mut().enumerate() {
+        for (j, lane_outputs) in derived.iter().enumerate() {
             let lane = packed + j;
-            let want = reference.peek(name);
+            let want = lane_outputs[o];
             if got[lane] != want {
                 return Err(Failure::new(
                     "compiled",
