@@ -1037,7 +1037,7 @@ impl<'a> Checker<'a> {
                     "signal available in [{astart}, {aend}] but required in [{rstart}, {rend}]"
                 );
                 if let Some(m) = model {
-                    msg.push_str(&format!("; counterexample: {m}"));
+                    msg.push_str(&format!("; {}", counterexample(m)));
                 }
                 msg
             },
@@ -1502,7 +1502,7 @@ impl<'a> Checker<'a> {
                                 a.span,
                             )
                             .with_note_at("conflicting driver here", b.span)
-                            .with_note(format!("counterexample: {model}")),
+                            .with_note(counterexample(&model)),
                         );
                     }
                     Outcome::Unknown => {
@@ -1582,7 +1582,7 @@ impl<'a> Checker<'a> {
                             ),
                             rec.span,
                         )
-                        .with_note(format!("counterexample: {model}")),
+                        .with_note(counterexample(&model)),
                     ),
                     Outcome::Unknown => self.reporter.report(Diagnostic::error(
                         format!(
@@ -1615,7 +1615,7 @@ impl<'a> Checker<'a> {
                                 a.span,
                             )
                             .with_note_at("other invocation here", b.span)
-                            .with_note(format!("counterexample: {model}")),
+                            .with_note(counterexample(&model)),
                         ),
                         Outcome::Unknown => self.reporter.report(
                             Diagnostic::error(
@@ -1646,7 +1646,7 @@ impl<'a> Checker<'a> {
                                 ),
                                 a.span,
                             )
-                            .with_note(format!("counterexample: {model}")),
+                            .with_note(counterexample(&model)),
                         ),
                         Outcome::Unknown => self.reporter.report(
                             Diagnostic::error(
@@ -1759,7 +1759,7 @@ impl<'a> Checker<'a> {
         self.prove_with(
             pred,
             move |model| match model {
-                Some(m) => format!("{}; counterexample: {m}", message()),
+                Some(m) => format!("{}; {}", message(), counterexample(m)),
                 None => message(),
             },
             span,
@@ -1793,6 +1793,17 @@ impl<'a> Checker<'a> {
         for d in err.diagnostics() {
             self.reporter.report(d.clone());
         }
+    }
+}
+
+/// The counterexample note for a refuting model. A model that assigns
+/// nothing means the obligation fails whatever the parameters are (a sliced
+/// query whose goal mentions no parameter), and says so.
+fn counterexample(model: &Model) -> String {
+    if model.is_empty() {
+        "counterexample: any parameter values".to_string()
+    } else {
+        format!("counterexample: {model}")
     }
 }
 
