@@ -25,8 +25,8 @@
 use crate::comp::CompLibrary;
 use crate::fingerprint::{component_hash, ComponentHash};
 use crate::lower::{
-    event_var, instantiation_conditions, lower_constraint, lower_param_expr, lower_time,
-    out_param_expr, param_var, primed_var, resolve_param_args, InstanceInfo, LowerEnv, Obligation,
+    callee_subst, event_var, instantiation_conditions, lower_constraint, lower_param_expr,
+    lower_time, param_var, primed_var, resolve_param_args, InstanceInfo, LowerEnv, Obligation,
 };
 use crate::reports::PriorReports;
 use lilac_ast::{
@@ -396,8 +396,9 @@ struct InvocationInfo {
     uid: CmdId,
     /// Identity of the instantiation command of the invoked instance.
     instance_uid: CmdId,
-    /// Instantiation arguments of the invoked instance.
-    args: Vec<LinExpr>,
+    /// The callee's parameters and output parameters in terms of the
+    /// instantiation arguments of the invoked instance.
+    subst: FxHashMap<Symbol, LinExpr>,
     /// Map from the callee's event names to absolute times.
     schedule: FxHashMap<Symbol, LinExpr>,
 }
@@ -804,7 +805,6 @@ impl<'a> Checker<'a> {
             return;
         };
         let (comp, instance_span) = (info.comp, info.span);
-        let args = info.args.clone();
         let Some(callee) = self.lib.signature(comp) else {
             return;
         };
@@ -820,6 +820,7 @@ impl<'a> Checker<'a> {
             );
             return;
         }
+        let subst = callee_subst(callee, &info.args);
         let mut sched_map = FxHashMap::default();
         for (decl, time) in callee.events.iter().zip(schedule.iter()) {
             match lower_time(time, &self.own_events, &self.env()) {
@@ -839,7 +840,7 @@ impl<'a> Checker<'a> {
                 comp,
                 uid,
                 instance_uid: (instance, instance_span.start),
-                args,
+                subst,
                 schedule: sched_map,
             }),
         );
@@ -970,7 +971,7 @@ impl<'a> Checker<'a> {
             return;
         }
         for (port, arg) in data_inputs().zip(args.iter()) {
-            let Some(req) = self.invocation_port_interval(&inv, callee, port) else { continue };
+            let Some(req) = self.invocation_port_interval(&inv, port) else { continue };
             self.check_read(arg, req, span);
             self.writes.push(WriteRecord {
                 key: WriteKey::InvocationInput(inv.uid, port.name.name),
@@ -981,10 +982,9 @@ impl<'a> Checker<'a> {
             });
         }
         // Record the invocation for resource-safety checking.
-        let callee_env = self.callee_env(&inv, callee);
         let delay_l = callee
             .primary_event()
-            .and_then(|e| lower_param_expr_with(&e.delay, &callee_env, self))
+            .and_then(|e| lower_param_expr_with(&e.delay, &inv.subst, self))
             .unwrap_or_else(|| LinExpr::constant(1));
         let time = callee
             .primary_event()
@@ -1074,7 +1074,7 @@ impl<'a> Checker<'a> {
                 if let Some(inv) = self.invocation_by_name(name.name) {
                     let callee = self.lib.signature(inv.comp)?;
                     if let [port] = callee.outputs.as_slice() {
-                        return self.invocation_port_interval(&inv, callee, port).map(Some);
+                        return self.invocation_port_interval(&inv, port).map(Some);
                     }
                     self.reporter.error(
                         format!(
@@ -1099,7 +1099,7 @@ impl<'a> Checker<'a> {
                         .error(format!("`{}` has no output port `{port}`", callee.name), port.span);
                     return None;
                 };
-                self.invocation_port_interval(&invocation, callee, decl).map(Some)
+                self.invocation_port_interval(&invocation, decl).map(Some)
             }
             Access::Index { base, index } => {
                 // Indexing an invocation's bundle-typed output port
@@ -1118,7 +1118,7 @@ impl<'a> Checker<'a> {
                         return None;
                     };
                     let _ = index;
-                    return self.invocation_port_interval(&invocation, callee, decl).map(Some);
+                    return self.invocation_port_interval(&invocation, decl).map(Some);
                 }
                 let Access::Var(bundle_name) = base.as_ref() else {
                     self.reporter.error("nested indexing is not supported", span);
@@ -1185,7 +1185,7 @@ impl<'a> Checker<'a> {
                         .error(format!("`{}` has no input port `{port}`", callee.name), port.span);
                     return None;
                 };
-                let interval = self.invocation_port_interval(&invocation, callee, decl);
+                let interval = self.invocation_port_interval(&invocation, decl);
                 Some((WriteKey::InvocationInput(invocation.uid, port.name), Vec::new(), interval))
             }
             Access::Index { base, index } => {
@@ -1307,7 +1307,6 @@ impl<'a> Checker<'a> {
     fn invocation_port_interval(
         &mut self,
         inv: &InvocationInfo,
-        callee: &Signature,
         port: &PortDecl,
     ) -> Option<(LinExpr, LinExpr)> {
         let key = (inv.uid, port.name.name);
@@ -1319,17 +1318,10 @@ impl<'a> Checker<'a> {
                 (start.clone(), end.clone())
             });
         }
-        let mut subst: FxHashMap<Symbol, LinExpr> = FxHashMap::default();
-        for (decl, arg) in callee.params.iter().zip(inv.args.iter()) {
-            subst.insert(decl.name.name, arg.clone());
-        }
-        for op in &callee.out_params {
-            subst.insert(op.name.name, out_param_expr(callee, &inv.args, op.name.name));
-        }
         let env = LowerEnv {
             lib: self.lib,
             instances: &self.instances,
-            subst: &subst,
+            subst: &inv.subst,
             fresh: &self.fresh,
         };
         let start = lower_time(&port.liveness.start, &inv.schedule, &env);
@@ -1350,17 +1342,6 @@ impl<'a> Checker<'a> {
                 None
             }
         }
-    }
-
-    fn callee_env(&self, inv: &InvocationInfo, callee: &Signature) -> FxHashMap<Symbol, LinExpr> {
-        let mut subst: FxHashMap<Symbol, LinExpr> = FxHashMap::default();
-        for (decl, arg) in callee.params.iter().zip(inv.args.iter()) {
-            subst.insert(decl.name.name, arg.clone());
-        }
-        for op in &callee.out_params {
-            subst.insert(op.name.name, out_param_expr(callee, &inv.args, op.name.name));
-        }
-        subst
     }
 
     /// Lowers an interval over the component's own events.

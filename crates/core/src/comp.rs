@@ -98,20 +98,23 @@ impl<'p> CompLibrary<'p> {
     }
 }
 
-/// Structural well-formedness checks on a signature.
+/// Structural well-formedness checks on a signature. Signatures are small,
+/// so each name is compared against the earlier names of its list instead
+/// of going through a map.
 fn check_signature(sig: &Signature, reporter: &mut ErrorReporter) {
     // Duplicate parameter names.
-    let mut seen = FxHashMap::default();
-    for p in &sig.params {
-        if let Some(_prev) = seen.insert(p.name.name, p.name.span) {
+    let param_names = sig.params.iter().map(|p| p.name.name);
+    for (i, p) in sig.params.iter().enumerate() {
+        if param_names.clone().take(i).any(|n| n == p.name.name) {
             reporter.error(
                 format!("duplicate input parameter `#{}` in `{}`", p.name, sig.name),
                 p.name.span,
             );
         }
     }
-    for p in &sig.out_params {
-        if seen.insert(p.name.name, p.name.span).is_some() {
+    for (i, p) in sig.out_params.iter().enumerate() {
+        let earlier = sig.out_params[..i].iter().map(|q| q.name.name);
+        if param_names.clone().chain(earlier).any(|n| n == p.name.name) {
             reporter.error(
                 format!(
                     "output parameter `#{}` shadows another parameter of `{}`",
@@ -122,22 +125,22 @@ fn check_signature(sig: &Signature, reporter: &mut ErrorReporter) {
         }
     }
     // Duplicate events.
-    let mut events = FxHashMap::default();
-    for e in &sig.events {
-        if events.insert(e.name.name, e.name.span).is_some() {
+    for (i, e) in sig.events.iter().enumerate() {
+        if sig.events[..i].iter().any(|prev| prev.name.name == e.name.name) {
             reporter.error(format!("duplicate event `{}` in `{}`", e.name, sig.name), e.name.span);
         }
     }
+    let declared = |event: Symbol| sig.events.iter().any(|e| e.name.name == event);
     // Duplicate port names; intervals must be anchored on declared events.
-    let mut ports = FxHashMap::default();
-    for port in sig.inputs.iter().chain(sig.outputs.iter()) {
-        if ports.insert(port.name.name, port.name.span).is_some() {
+    let ports = sig.inputs.iter().chain(&sig.outputs);
+    for (i, port) in ports.clone().enumerate() {
+        if ports.clone().take(i).any(|prev| prev.name.name == port.name.name) {
             reporter
                 .error(format!("duplicate port `{}` in `{}`", port.name, sig.name), port.name.span);
         }
         match &port.ty {
             PortType::Interface { event } => {
-                if !events.contains_key(&event.name) {
+                if !declared(event.name) {
                     reporter.error(
                         format!(
                             "interface port `{}` refers to undeclared event `{}`",
@@ -150,7 +153,7 @@ fn check_signature(sig: &Signature, reporter: &mut ErrorReporter) {
             PortType::Data { .. } => {
                 for t in [&port.liveness.start, &port.liveness.end] {
                     match &t.event {
-                        Some(ev) if !events.contains_key(&ev.name) => {
+                        Some(ev) if !declared(ev.name) => {
                             reporter.error(
                                 format!(
                                     "availability interval of `{}` refers to undeclared event `{}`",
@@ -239,6 +242,32 @@ mod tests {
     fn undeclared_event_rejected() {
         let msg = lib_err("extern comp A<G:1>(x: [F, F+1] 8) -> ();");
         assert!(msg.contains("undeclared event"), "{msg}");
+    }
+
+    /// Every diagnostic message `CompLibrary::build` reports, in order.
+    fn lib_messages(src: &str) -> Vec<String> {
+        let (prog, _) = parse_program("t.lilac", src).unwrap();
+        match CompLibrary::build(&prog) {
+            Ok(_) => Vec::new(),
+            Err(e) => e.diagnostics().iter().map(|d| d.message.clone()).collect(),
+        }
+    }
+
+    #[test]
+    fn duplicate_events_rejected() {
+        let msg = lib_err("extern comp A<G:1, G:1>(x: [G, G+1] 8) -> ();");
+        assert!(msg.contains("duplicate event `G` in `A`"), "{msg}");
+    }
+
+    #[test]
+    fn a_name_repeated_three_times_is_reported_twice() {
+        let params = lib_messages("extern comp A[#W, #W, #W]<G:1>(x: [G, G+1] 8) -> ();");
+        assert_eq!(params, ["duplicate input parameter `#W` in `A`"; 2]);
+        let events = lib_messages("extern comp A<G:1, G:1, G:1>(x: [G, G+1] 8) -> ();");
+        assert_eq!(events, ["duplicate event `G` in `A`"; 2]);
+        let ports =
+            lib_messages("extern comp A<G:1>(x: [G, G+1] 8, x: [G, G+1] 8) -> (x: [G+1, G+2] 8);");
+        assert_eq!(ports, ["duplicate port `x` in `A`"; 2]);
     }
 
     #[test]

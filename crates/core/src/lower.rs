@@ -352,6 +352,20 @@ pub fn out_param_expr(sig: &Signature, args: &[LinExpr], param: Symbol) -> LinEx
     LinExpr::from_term(Term::App { func, args: args.to_vec() }, 1)
 }
 
+/// The substitution that reads `sig`'s own parameters at an instantiation
+/// with `args`: input parameters map to the arguments, output parameters to
+/// their uninterpreted applications.
+pub fn callee_subst(sig: &Signature, args: &[LinExpr]) -> FxHashMap<Symbol, LinExpr> {
+    let mut subst: FxHashMap<Symbol, LinExpr> = FxHashMap::default();
+    for (decl, arg) in sig.params.iter().zip(args) {
+        subst.insert(decl.name.name, arg.clone());
+    }
+    for op in &sig.out_params {
+        subst.insert(op.name.name, out_param_expr(sig, args, op.name.name));
+    }
+    subst
+}
+
 /// Facts (output-parameter guarantees) and obligations (input `where`
 /// clauses) arising from instantiating `sig` with `args`.
 ///
@@ -362,16 +376,7 @@ pub fn instantiation_conditions(
     span: Span,
     env: &LowerEnv<'_>,
 ) -> Result<(Vec<Pred>, Vec<Obligation>)> {
-    // Build the substitution for the callee's parameters: input parameters
-    // map to the provided arguments, output parameters map to their
-    // uninterpreted applications.
-    let mut subst: FxHashMap<Symbol, LinExpr> = FxHashMap::default();
-    for (decl, arg) in sig.params.iter().zip(args.iter()) {
-        subst.insert(decl.name.name, arg.clone());
-    }
-    for op in &sig.out_params {
-        subst.insert(op.name.name, out_param_expr(sig, args, op.name.name));
-    }
+    let subst = callee_subst(sig, args);
     let callee_env = env.with_subst(&subst);
 
     let mut facts = Vec::new();

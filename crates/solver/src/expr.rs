@@ -11,6 +11,7 @@
 use lilac_util::intern::Symbol;
 use std::cmp::Ordering;
 use std::fmt;
+use std::hash::{Hash, Hasher};
 use std::ops::{Add, Mul, Neg, Sub};
 
 /// Well-known interpreted function symbols used for [`Term::App`] atoms.
@@ -86,17 +87,131 @@ impl fmt::Display for Term {
 /// coefficients, so two expressions are structurally equal exactly when they
 /// are syntactically identical affine forms.
 ///
-/// The terms are a flat vector sorted by [`Term`]. The derived `Ord`, `Eq`
-/// and `Hash` therefore agree with those of `(constant, BTreeMap<Term, i64>)`
-/// — same order, same equality, same hash byte stream — which fact sorting,
+/// The terms form a flat list sorted by [`Term`]. Zero terms or one term
+/// are stored inline and only two or more go in a `Vec`, so the common
+/// shapes `G`, `#L` and `G+3` never allocate. `Eq`, `Ord`, `Hash` and
+/// `Debug` are computed over the constant and then the term slice, whatever
+/// backs it, so they agree with those of `(constant, BTreeMap<Term, i64>)` —
+/// same order, same equality, same hash byte stream — which fact sorting,
 /// cache keys and the persisted cache image rely on.
-#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Default)]
+#[derive(Clone, Default)]
 pub struct LinExpr {
-    /// Constant offset. Must stay the first field (see above).
+    /// Constant offset. Compared and hashed before the terms (see above).
     constant: i64,
     /// `(term, coefficient)` pairs: strictly sorted by term, no zero
     /// coefficients.
-    terms: Vec<(Term, i64)>,
+    terms: Terms,
+}
+
+/// The sorted `(term, coefficient)` list of a [`LinExpr`]: inline while it
+/// has at most one entry, a `Vec` from two entries on.
+#[derive(Clone)]
+enum Terms {
+    Inline(Option<(Term, i64)>),
+    Heap(Vec<(Term, i64)>),
+}
+
+impl Default for Terms {
+    fn default() -> Terms {
+        Terms::Inline(None)
+    }
+}
+
+impl Terms {
+    fn as_slice(&self) -> &[(Term, i64)] {
+        match self {
+            Terms::Inline(pair) => pair.as_slice(),
+            Terms::Heap(v) => v,
+        }
+    }
+
+    fn as_mut_slice(&mut self) -> &mut [(Term, i64)] {
+        match self {
+            Terms::Inline(pair) => pair.as_mut_slice(),
+            Terms::Heap(v) => v,
+        }
+    }
+
+    /// Inserts `pair` at position `i` of the sorted list; `capacity` bounds
+    /// the final length and sizes the `Vec` when `pair` is the second entry.
+    fn insert(&mut self, i: usize, pair: (Term, i64), capacity: usize) {
+        *self = match std::mem::take(self) {
+            Terms::Inline(None) => Terms::Inline(Some(pair)),
+            Terms::Inline(Some(only)) => {
+                let mut v = Vec::with_capacity(capacity.max(2));
+                v.push(only);
+                v.insert(i, pair);
+                Terms::Heap(v)
+            }
+            Terms::Heap(mut v) => {
+                v.insert(i, pair);
+                Terms::Heap(v)
+            }
+        };
+    }
+
+    /// Appends `pair`, which must sort after every entry already present.
+    fn push(&mut self, pair: (Term, i64), capacity: usize) {
+        self.insert(self.as_slice().len(), pair, capacity);
+    }
+
+    /// Removes the entry at position `i`, moving a lone survivor inline.
+    fn remove(&mut self, i: usize) {
+        if let Terms::Heap(v) = self {
+            v.remove(i);
+            if v.len() == 1 {
+                *self = Terms::Inline(v.pop());
+            }
+        } else {
+            *self = Terms::Inline(None);
+        }
+    }
+
+    fn into_iter(self) -> impl Iterator<Item = (Term, i64)> {
+        let (inline, heap) = match self {
+            Terms::Inline(pair) => (pair, Vec::new()),
+            Terms::Heap(v) => (None, v),
+        };
+        inline.into_iter().chain(heap)
+    }
+}
+
+impl PartialEq for LinExpr {
+    fn eq(&self, other: &LinExpr) -> bool {
+        self.constant == other.constant && self.terms.as_slice() == other.terms.as_slice()
+    }
+}
+
+impl Eq for LinExpr {}
+
+impl PartialOrd for LinExpr {
+    fn partial_cmp(&self, other: &LinExpr) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for LinExpr {
+    fn cmp(&self, other: &LinExpr) -> Ordering {
+        self.constant
+            .cmp(&other.constant)
+            .then_with(|| self.terms.as_slice().cmp(other.terms.as_slice()))
+    }
+}
+
+impl Hash for LinExpr {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.constant.hash(state);
+        self.terms.as_slice().hash(state);
+    }
+}
+
+impl fmt::Debug for LinExpr {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("LinExpr")
+            .field("constant", &self.constant)
+            .field("terms", &self.terms.as_slice())
+            .finish()
+    }
 }
 
 impl LinExpr {
@@ -107,7 +222,7 @@ impl LinExpr {
 
     /// A constant expression.
     pub fn constant(value: i64) -> LinExpr {
-        LinExpr { constant: value, terms: Vec::new() }
+        LinExpr { constant: value, terms: Terms::default() }
     }
 
     /// A single variable with coefficient one.
@@ -117,8 +232,7 @@ impl LinExpr {
 
     /// A single term with the given coefficient.
     pub fn from_term(term: Term, coeff: i64) -> LinExpr {
-        let terms = if coeff == 0 { Vec::new() } else { vec![(term, coeff)] };
-        LinExpr { constant: 0, terms }
+        LinExpr { constant: 0, terms: Terms::Inline((coeff != 0).then_some((term, coeff))) }
     }
 
     /// The constant offset.
@@ -128,17 +242,17 @@ impl LinExpr {
 
     /// Iterates over `(term, coefficient)` pairs.
     pub fn terms(&self) -> impl Iterator<Item = (&Term, i64)> {
-        self.terms.iter().map(|(t, c)| (t, *c))
+        self.terms.as_slice().iter().map(|(t, c)| (t, *c))
     }
 
     /// Number of distinct terms.
     pub fn term_count(&self) -> usize {
-        self.terms.len()
+        self.terms.as_slice().len()
     }
 
     /// Returns the constant value if the expression has no terms.
     pub fn as_constant(&self) -> Option<i64> {
-        if self.terms.is_empty() {
+        if self.terms.as_slice().is_empty() {
             Some(self.constant)
         } else {
             None
@@ -158,15 +272,16 @@ impl LinExpr {
         if coeff == 0 {
             return;
         }
-        match self.terms.binary_search_by(|(t, _)| t.cmp(&term)) {
+        match self.terms.as_slice().binary_search_by(|(t, _)| t.cmp(&term)) {
             Ok(i) => {
-                self.terms[i].1 += coeff;
-                if self.terms[i].1 == 0 {
+                let c = &mut self.terms.as_mut_slice()[i].1;
+                *c += coeff;
+                if *c == 0 {
                     // Remove cancelled terms to keep structural equality meaningful.
                     self.terms.remove(i);
                 }
             }
-            Err(i) => self.terms.insert(i, (term, coeff)),
+            Err(i) => self.terms.insert(i, (term, coeff), 2),
         }
     }
 
@@ -175,10 +290,12 @@ impl LinExpr {
         if factor == 0 {
             return LinExpr::zero();
         }
-        LinExpr {
-            constant: self.constant * factor,
-            terms: self.terms.iter().map(|(t, c)| (t.clone(), c * factor)).collect(),
+        let mut out = self.clone();
+        out.constant *= factor;
+        for (_, c) in out.terms.as_mut_slice() {
+            *c *= factor;
         }
+        out
     }
 
     /// Multiplies two expressions, staying linear when either side is a
@@ -237,27 +354,13 @@ impl LinExpr {
     }
 
     /// Visits every term appearing in the expression by reference, including
-    /// terms nested inside application arguments — the allocation-free
-    /// counterpart of [`LinExpr::collect_terms`].
+    /// terms nested inside application arguments, in pre-order.
     pub fn for_each_term<'a>(&'a self, f: &mut impl FnMut(&'a Term)) {
-        for (t, _) in self.terms.iter() {
+        for (t, _) in self.terms.as_slice() {
             f(t);
             if let Term::App { args, .. } = t {
                 for a in args {
                     a.for_each_term(f);
-                }
-            }
-        }
-    }
-
-    /// Collects every term appearing in the expression, including terms
-    /// nested inside application arguments.
-    pub fn collect_terms(&self, out: &mut Vec<Term>) {
-        for (t, _) in self.terms.iter() {
-            out.push(t.clone());
-            if let Term::App { args, .. } = t {
-                for a in args {
-                    a.collect_terms(out);
                 }
             }
         }
@@ -301,31 +404,31 @@ impl Add for LinExpr {
     type Output = LinExpr;
     fn add(self, rhs: LinExpr) -> LinExpr {
         let constant = self.constant + rhs.constant;
-        if rhs.terms.is_empty() {
+        if rhs.term_count() == 0 {
             return LinExpr { constant, terms: self.terms };
         }
-        if self.terms.is_empty() {
+        if self.term_count() == 0 {
             return LinExpr { constant, terms: rhs.terms };
         }
         // One-pass merge of the two sorted term lists.
-        let mut terms = Vec::with_capacity(self.terms.len() + rhs.terms.len());
+        let capacity = self.term_count() + rhs.term_count();
+        let mut terms = Terms::default();
         let mut left = self.terms.into_iter().peekable();
         let mut right = rhs.terms.into_iter().peekable();
         while let (Some((a, _)), Some((b, _))) = (left.peek(), right.peek()) {
             match a.cmp(b) {
-                Ordering::Less => terms.push(left.next().expect("peeked")),
-                Ordering::Greater => terms.push(right.next().expect("peeked")),
+                Ordering::Less => terms.push(left.next().expect("peeked"), capacity),
+                Ordering::Greater => terms.push(right.next().expect("peeked"), capacity),
                 Ordering::Equal => {
                     let (t, x) = left.next().expect("peeked");
                     let (_, y) = right.next().expect("peeked");
                     if x + y != 0 {
-                        terms.push((t, x + y));
+                        terms.push((t, x + y), capacity);
                     }
                 }
             }
         }
-        terms.extend(left);
-        terms.extend(right);
+        left.chain(right).for_each(|pair| terms.push(pair, capacity));
         LinExpr { constant, terms }
     }
 }
@@ -341,8 +444,10 @@ impl Sub for LinExpr {
 /// `a + sign·b` without consuming either side: one merge that copies each
 /// term once, instead of cloning both operands first.
 fn combine(a: &LinExpr, b: &LinExpr, sign: i64) -> LinExpr {
-    let mut terms = Vec::with_capacity(a.terms.len() + b.terms.len());
-    let (mut left, mut right) = (a.terms.iter().peekable(), b.terms.iter().peekable());
+    let (a_terms, b_terms) = (a.terms.as_slice(), b.terms.as_slice());
+    let capacity = a_terms.len() + b_terms.len();
+    let mut terms = Terms::default();
+    let (mut left, mut right) = (a_terms.iter().peekable(), b_terms.iter().peekable());
     loop {
         let order = match (left.peek(), right.peek()) {
             (Some((x, _)), Some((y, _))) => x.cmp(y),
@@ -351,16 +456,16 @@ fn combine(a: &LinExpr, b: &LinExpr, sign: i64) -> LinExpr {
             (None, None) => break,
         };
         match order {
-            Ordering::Less => terms.push(left.next().expect("peeked").clone()),
+            Ordering::Less => terms.push(left.next().expect("peeked").clone(), capacity),
             Ordering::Greater => {
                 let (t, y) = right.next().expect("peeked");
-                terms.push((t.clone(), sign * y));
+                terms.push((t.clone(), sign * y), capacity);
             }
             Ordering::Equal => {
                 let (t, x) = left.next().expect("peeked");
                 let (_, y) = right.next().expect("peeked");
                 if x + sign * y != 0 {
-                    terms.push((t.clone(), x + sign * y));
+                    terms.push((t.clone(), x + sign * y), capacity);
                 }
             }
         }
@@ -386,7 +491,7 @@ impl Neg for LinExpr {
     type Output = LinExpr;
     fn neg(mut self) -> LinExpr {
         self.constant = -self.constant;
-        for (_, c) in &mut self.terms {
+        for (_, c) in self.terms.as_mut_slice() {
             *c = -*c;
         }
         self
@@ -415,7 +520,7 @@ impl From<u64> for LinExpr {
 impl fmt::Display for LinExpr {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let mut first = true;
-        for (t, c) in self.terms.iter() {
+        for (t, c) in self.terms.as_slice() {
             if first {
                 match *c {
                     1 => write!(f, "{t}")?,
@@ -538,12 +643,12 @@ mod tests {
     }
 
     #[test]
-    fn collect_terms_recurses() {
+    fn for_each_term_recurses() {
         let inner = LinExpr::var("A") + LinExpr::var("B");
         let app = LinExpr::from_term(Term::app("F", vec![inner]), 1);
         let mut ts = Vec::new();
-        app.collect_terms(&mut ts);
-        assert_eq!(ts.len(), 3);
+        app.for_each_term(&mut |t| ts.push(t.to_string()));
+        assert_eq!(ts, ["F(A + B)", "A", "B"]);
     }
 
     /// Builds a random expression through the public constructors, with a
@@ -625,6 +730,178 @@ mod tests {
         // Distinct generated expressions that compare equal exercise the
         // merge and cancellation paths, not only identity.
         assert!(equal_pairs > exprs.len(), "only {equal_pairs} equal pairs");
+    }
+
+    /// The reference for the term storage: an ordered map from term to
+    /// coefficient, updated by textbook arithmetic.
+    type Model = (i64, BTreeMap<Term, i64>);
+
+    fn model_add_term(m: &mut Model, t: Term, c: i64) {
+        let sum = m.1.get(&t).copied().unwrap_or(0) + c;
+        if sum == 0 {
+            m.1.remove(&t);
+        } else {
+            m.1.insert(t, sum);
+        }
+    }
+
+    fn model_combine(a: &Model, b: &Model, sign: i64) -> Model {
+        let mut out = (a.0 + sign * b.0, a.1.clone());
+        for (t, c) in &b.1 {
+            model_add_term(&mut out, t.clone(), sign * c);
+        }
+        out
+    }
+
+    fn model_scaled(m: &Model, k: i64) -> Model {
+        let terms = m.1.iter().filter(|_| k != 0).map(|(t, c)| (t.clone(), c * k));
+        (m.0 * k, terms.collect())
+    }
+
+    fn model_substitute(m: &Model, target: &Term, replacement: &Model) -> Model {
+        let mut out = (m.0, BTreeMap::new());
+        for (t, &c) in &m.1 {
+            let new_term = match t {
+                Term::Var(_) => t.clone(),
+                Term::App { func, args } => Term::App {
+                    func: *func,
+                    args: args
+                        .iter()
+                        .map(|a| from_model(&model_substitute(&as_map(a), target, replacement)))
+                        .collect(),
+                },
+            };
+            if t == target || &new_term == target {
+                out = model_combine(&out, &model_scaled(replacement, c), 1);
+            } else {
+                model_add_term(&mut out, new_term, c);
+            }
+        }
+        out
+    }
+
+    fn from_model(m: &Model) -> LinExpr {
+        let mut e = LinExpr::constant(m.0);
+        for (t, c) in &m.1 {
+            e = e + LinExpr::from_term(t.clone(), *c);
+        }
+        e
+    }
+
+    /// What `LinExpr` hashed when its terms were always a `Vec`.
+    #[derive(Hash, Debug)]
+    struct FlatLinExpr {
+        constant: i64,
+        terms: Vec<(Term, i64)>,
+    }
+
+    /// A hasher that keeps every byte written to it.
+    #[derive(Default)]
+    struct Recorder(Vec<u8>);
+
+    impl std::hash::Hasher for Recorder {
+        fn finish(&self) -> u64 {
+            0
+        }
+        fn write(&mut self, bytes: &[u8]) {
+            self.0.extend_from_slice(bytes);
+        }
+    }
+
+    fn hash_stream(value: &impl std::hash::Hash) -> Vec<u8> {
+        let mut recorder = Recorder::default();
+        value.hash(&mut recorder);
+        recorder.0
+    }
+
+    fn assert_matches_model(e: &LinExpr, m: &Model) {
+        assert_canonical(e);
+        assert_eq!(&as_map(e), m, "value differs for {e}");
+        let flat = FlatLinExpr { constant: m.0, terms: m.1.clone().into_iter().collect() };
+        assert_eq!(hash_stream(e), hash_stream(&flat), "hash stream differs for {e}");
+        assert_eq!(format!("{e:?}"), format!("{flat:?}").replacen("FlatLinExpr", "LinExpr", 1));
+    }
+
+    /// Random sequences of every operation that builds or edits the term
+    /// storage, each result checked against the ordered-map model for value
+    /// and order and against the plain `Vec` layout for its hash stream.
+    #[test]
+    fn term_storage_follows_the_ordered_map_model() {
+        let mut rng = lilac_util::rng::Rng::new(0x1e7e);
+        let pool: Vec<Term> = ["A", "B", "C", "D"]
+            .into_iter()
+            .map(Term::var)
+            .chain([
+                Term::app("F", vec![LinExpr::var("A")]),
+                Term::app("F", vec![LinExpr::var("B") + LinExpr::constant(1)]),
+            ])
+            .collect();
+        let mut history: Vec<(LinExpr, Model)> = Vec::new();
+        // Cancellations that left no term and that left one; results with
+        // zero, one and more terms.
+        let mut cancelled_to = [0usize; 2];
+        let mut shapes = [0usize; 3];
+        for _ in 0..600 {
+            let (mut x, mut y) = (LinExpr::zero(), LinExpr::zero());
+            let (mut mx, mut my): (Model, Model) = Default::default();
+            for _ in 0..rng.index(32) {
+                match rng.index(11) {
+                    0 | 1 => {
+                        let (t, c) = (pool[rng.index(pool.len())].clone(), rng.range_i64(-2, 2));
+                        model_add_term(&mut mx, t.clone(), c);
+                        x.add_term(t, c);
+                    }
+                    2 => {
+                        // Cancel one existing term exactly.
+                        let Some((t, c)) = x.terms().nth(rng.index(x.term_count().max(1))) else {
+                            continue;
+                        };
+                        let (t, c) = (t.clone(), -c);
+                        model_add_term(&mut mx, t.clone(), c);
+                        x.add_term(t, c);
+                        if x.term_count() < 2 {
+                            cancelled_to[x.term_count()] += 1;
+                        }
+                    }
+                    3 => (x, mx) = (x + y.clone(), model_combine(&mx, &my, 1)),
+                    4 => (x, mx) = (x - y.clone(), model_combine(&mx, &my, -1)),
+                    5 => (x, mx) = (&x + &y, model_combine(&mx, &my, 1)),
+                    6 => (x, mx) = (&x - &y, model_combine(&mx, &my, -1)),
+                    7 => (x, mx) = (-x, model_scaled(&mx, -1)),
+                    8 => {
+                        let k = rng.range_i64(-2, 2);
+                        (x, mx) = (x.scaled(k), model_scaled(&mx, k));
+                    }
+                    9 => {
+                        let target = pool[rng.index(pool.len())].clone();
+                        let replacement = LinExpr::from_term(pool[rng.index(4)].clone(), 1)
+                            + LinExpr::constant(rng.range_i64(-1, 1));
+                        mx = model_substitute(&mx, &target, &as_map(&replacement));
+                        x = x.substitute(&target, &replacement);
+                    }
+                    _ => {
+                        x.constant += rng.range_i64(-1, 1);
+                        mx.0 = x.constant;
+                    }
+                }
+                assert_matches_model(&x, &mx);
+                shapes[x.term_count().min(2)] += 1;
+                for (e, m) in &history {
+                    assert_eq!(x.cmp(e), mx.cmp(m), "order differs: {x} vs {e}");
+                    assert_eq!(x == *e, mx == *m, "equality differs: {x} vs {e}");
+                }
+                if history.len() == 32 {
+                    history.remove(rng.index(32));
+                }
+                history.push((x.clone(), mx.clone()));
+                if rng.chance(1, 3) {
+                    std::mem::swap(&mut x, &mut y);
+                    std::mem::swap(&mut mx, &mut my);
+                }
+            }
+        }
+        assert!(cancelled_to.iter().all(|&n| n > 50), "cancellations {cancelled_to:?}");
+        assert!(shapes.iter().all(|&n| n > 1000), "result shapes {shapes:?}");
     }
 
     #[test]

@@ -1133,11 +1133,7 @@ fn saturate(cube: Vec<Pred>) -> Option<Vec<Pred>> {
                     // Prefer rewriting complex terms (applications) into
                     // simpler ones; avoid self-referential substitutions.
                     let mut mentions_self = false;
-                    let mut ts = Vec::new();
-                    rhs.collect_terms(&mut ts);
-                    if ts.contains(&term) {
-                        mentions_self = true;
-                    }
+                    rhs.for_each_term(&mut |t| mentions_self |= *t == term);
                     if !mentions_self {
                         subst.entry(term).or_insert(rhs);
                     }
@@ -1145,36 +1141,26 @@ fn saturate(cube: Vec<Pred>) -> Option<Vec<Pred>> {
             }
         }
         // exp2/log2 inverse rewrites: exp2(log2(x)) -> x, log2(exp2(x)) -> x.
-        // The term collection clones deeply, so only run it when some
-        // literal actually mentions one of the two functions.
-        let mut all_terms = Vec::new();
-        let scan_inverses = lits.iter().any(|lit| match lit {
-            Pred::Eq(e) | Pred::Le(e) => has_exp_or_log(e),
-            _ => false,
-        });
-        if scan_inverses {
-            for lit in &lits {
-                match lit {
-                    Pred::Eq(e) | Pred::Le(e) => e.collect_terms(&mut all_terms),
-                    _ => {}
-                }
+        for lit in &lits {
+            let (Pred::Eq(e) | Pred::Le(e)) = lit else { continue };
+            if !has_exp_or_log(e) {
+                continue;
             }
-        }
-        for t in &all_terms {
-            if let Term::App { func, args } = t {
-                if func.as_str() == funcs::EXP2 || func.as_str() == funcs::LOG2 {
-                    if let Some(Term::App { func: inner_f, args: inner_args }) =
-                        args[0].as_single_term()
-                    {
-                        let is_inverse = (func.as_str() == funcs::EXP2
-                            && inner_f.as_str() == funcs::LOG2)
-                            || (func.as_str() == funcs::LOG2 && inner_f.as_str() == funcs::EXP2);
-                        if is_inverse {
-                            subst.entry(t.clone()).or_insert(inner_args[0].clone());
-                        }
+            e.for_each_term(&mut |t| {
+                let Term::App { func, args } = t else { return };
+                let inverse = match func.as_str() {
+                    funcs::EXP2 => funcs::LOG2,
+                    funcs::LOG2 => funcs::EXP2,
+                    _ => return,
+                };
+                if let Some(Term::App { func: inner_f, args: inner_args }) =
+                    args[0].as_single_term()
+                {
+                    if inner_f.as_str() == inverse {
+                        subst.entry(t.clone()).or_insert_with(|| inner_args[0].clone());
                     }
                 }
-            }
+            });
         }
         // Congruence closure over uninterpreted applications: after applying
         // the substitution, merge applications with identical arguments.
@@ -2036,17 +2022,15 @@ mod tests {
         let mut domain: BTreeSet<i64> = (0..=ENUM_DOMAIN_MAX).collect();
         for lit in lits {
             let (Pred::Eq(e) | Pred::Le(e)) = lit else { continue };
-            let mut ts = Vec::new();
-            e.collect_terms(&mut ts);
-            for t in ts {
-                let interpreted = matches!(&t, Term::App { func, .. } if matches!(
+            e.for_each_term(&mut |t| {
+                let interpreted = matches!(t, Term::App { func, .. } if matches!(
                     func.as_str(),
                     funcs::MUL | funcs::DIV | funcs::MOD | funcs::LOG2 | funcs::EXP2
                 ));
                 if !interpreted {
-                    atoms.insert(t);
+                    atoms.insert(t.clone());
                 }
-            }
+            });
             let c = e.constant_part().abs();
             domain.extend(
                 [c, c + 1, c.saturating_sub(1)].into_iter().filter(|v| (0..=4096).contains(v)),
@@ -2166,7 +2150,7 @@ mod tests {
             let mut ts = Vec::new();
             for lit in lits {
                 let (Pred::Eq(e) | Pred::Le(e)) = lit else { continue };
-                e.collect_terms(&mut ts);
+                e.for_each_term(&mut |t| ts.push(t));
             }
             ts.retain(|t| !matches!(t, Term::App { func, .. } if func.as_str().starts_with('$')));
             ts.sort();
